@@ -248,6 +248,8 @@ def _cmd_sim4d(args) -> int:
 def _parse_rates(text: str):
     if ":" in text:
         lo, hi, step = (float(v) for v in text.split(":"))
+        if not step > 0.0:
+            raise ValueError(f"--rates step must be positive, got {step:g}")
         vals = []
         v = lo
         while v <= hi + 1e-9:
@@ -360,15 +362,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # Numerical failures first: LinAlgError subclasses ValueError.
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        return 1
     except (ScenarioError, ValueError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 """Per-agent formation control laws.
 
-Two controllers over the same measurement interface:
+One array kernel, ``edge_terms``, evaluates the law on a batch of E
+observed edges at once; the simulator calls it on every edge of a step and
+the per-agent commands below call it on one agent's measurement list.
 
-* ``proportional_command``: plain gradient-descent action on the formation
-  error, summing four terms per observed neighbor (two positional, one
+* Proportional terms: plain gradient-descent action on the formation
+  error, four terms per observed neighbor (two positional, one
   bearing-coupled heading term, one heading-consensus term).
-* ``restrained_command``: the noise-aware variant. Every term is replaced by
-  a setpoint pulled back toward the measurement by the noise quantile
+* Restrained terms: the noise-aware variant. Every term is replaced by a
+  setpoint pulled back toward the measurement by the noise quantile
   sigma * Phi^-1(ell) along a 1D reduction of that term, then passed through
   a dead-zone clamp. ell in (0, 0.5] is the admissible overshoot
-  probability; ell = 0.5 reproduces the proportional controller exactly.
+  probability; ell = 0.5 (quantile exactly 0.0) reproduces the proportional
+  terms bit for bit.
 
 Commands are velocities in the agent body frame, held constant for one
 control period. The summed heading rate is saturated so one period never
@@ -25,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ensure_covariance3, rotz, std_normal_quantile,
-                   wrap_angle)
+from .core import ensure_covariance3, std_normal_quantile, wrap_angle
 
 # Floor used wherever a covariance eigenvalue must stay positive (m^2 scale
 # 1e-8), far below any realistic sensor noise and far above double rounding.
@@ -114,14 +116,117 @@ def clamp_dz(y, a):
     return np.zeros_like(y)
 
 
-def _sign(x: float) -> float:
-    # sign(0) := 0 so dead-center inputs produce a zero offset.
-    return math.copysign(1.0, x) if x != 0.0 else 0.0
+def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
+    """Per-edge control terms of E edges, before the gain and the cap.
+
+    p_m, p_d are (E, 3) measured and desired relative positions, psi_m,
+    psi_d (E,) relative headings. Returns (position terms (E, 3), heading
+    terms (E,)). With ``q`` None these are the proportional terms. Otherwise
+    they are the restrained terms at quantile q = Phi^-1(ell), which need
+    the position covariances cov_p (E, 3, 3) and heading variances var_psi
+    (scalar or (E,)) of the measurements.
+    """
+    dpsi = wrap_angle(psi_m - psi_d)
+    cm, sm = np.cos(dpsi), np.sin(dpsi)
+    p_dr = np.stack([cm * p_d[:, 0] - sm * p_d[:, 1],
+                     sm * p_d[:, 0] + cm * p_d[:, 1],
+                     p_d[:, 2]], axis=1)
+    raw_bearing = p_d[:, 0] * p_m[:, 1] - p_d[:, 1] * p_m[:, 0]
+    if q is None:
+        return (p_m - p_d) + (p_m - p_dr), raw_bearing + 2.0 * dpsi
+
+    n_e = p_m.shape[0]
+    sigma_psi = np.sqrt(var_psi)
+
+    # Rotated-desired anchor: a Gaussian surrogate of the desired position
+    # rotated by the noisy heading error. Its mean pulls the horizontal part
+    # inward by cos(sigma_psi); its covariance has radial, tangential and
+    # vertical eigenvalues r^2 [(1 - cos s)^2, sin^2 s, DELTA^2], s clipped
+    # to pi/2, and falls back to DELTA^2 I on the vertical axis. At q = 0
+    # the surrogate is off and the term keeps its raw anchor.
+    p_hat = p_dr.copy()
+    if q != 0.0:
+        p_hat[:, :2] *= np.cos(sigma_psi)[..., None]
+    sig_c = np.minimum(sigma_psi, 0.5 * math.pi)
+    rr = np.hypot(p_dr[:, 0], p_dr[:, 1])
+    ok = rr > 0.0
+    rad = np.zeros((n_e, 3))
+    rad[ok, :2] = p_dr[ok, :2] / rr[ok, None]
+    tan = np.stack([-rad[:, 1], rad[:, 0], np.zeros(n_e)], axis=1)
+    lam_r = rr ** 2 * (1.0 - np.cos(sig_c)) ** 2
+    lam_t = rr ** 2 * np.sin(sig_c) ** 2
+    cov_t = (lam_r[:, None, None] * np.einsum("ij,ik->ijk", rad, rad)
+             + lam_t[:, None, None] * np.einsum("ij,ik->ijk", tan, tan))
+    cov_t[:, 2, 2] += rr ** 2 * DELTA ** 2
+    cov_t[~ok] = DELTA ** 2 * np.eye(3)
+
+    # Position terms: the setpoint backs off from the measurement along the
+    # raw error a by sigma q, sigma the standard deviation of a reduced
+    # along itself, so y = a (1 + q / m) with m the Mahalanobis norm of a.
+    # The clamp passes y iff m > -q. Both norms come from one stacked solve,
+    # on errors scaled to unit max-norm so that tiny ones cannot underflow
+    # to m = 0 (at q = 0 every nonzero error must pass).
+    a = np.stack([p_m - p_d, p_m - p_hat])
+    scale = np.abs(a).max(axis=2)
+    unit = a / np.where(scale > 0.0, scale, 1.0)[..., None]
+    cov = np.stack([cov_p, cov_p + cov_t])
+    sol = np.linalg.solve(cov, unit[..., None])[..., 0]
+    m = scale * np.sqrt(np.maximum(np.einsum("kij,kij->ki", unit, sol), 0.0))
+    fac = np.where(m > -q, 1.0 + q / np.where(m > 0.0, m, 1.0), 0.0)
+    pos = a[0] * fac[0][:, None] + a[1] * fac[1][:, None]
+
+    # Bearing term: rotate the measurement horizontally toward the desired
+    # bearing by sigma_beta |q|, sigma_beta the tangential standard
+    # deviation over the range, then clamp against the raw term. A rotation
+    # past the desired bearing flips the sign and the clamp zeroes it; so
+    # does a zero raw term, which covers degenerate horizontal projections.
+    r_m = np.hypot(p_m[:, 0], p_m[:, 1])
+    okm = r_m > 0.0
+    t_hat = np.zeros((n_e, 3))
+    t_hat[okm, 0] = -p_m[okm, 1] / r_m[okm]
+    t_hat[okm, 1] = p_m[okm, 0] / r_m[okm]
+    var_tan = np.einsum("ei,eij,ej->e", t_hat, cov_p, t_hat)
+    # hypot cannot underflow to zero where r_m > 0, so theta stays finite.
+    dist = np.where(okm, np.hypot(r_m, p_m[:, 2]), 1.0)
+    turn = np.sqrt(np.maximum(var_tan, 0.0)) * -q / dist
+    zeta_d = np.arctan2(p_d[:, 1], p_d[:, 0])
+    zeta_m = np.arctan2(p_m[:, 1], p_m[:, 0])
+    theta = np.sign(wrap_angle(zeta_d - zeta_m)) * turn
+    ct, st = np.cos(theta), np.sin(theta)
+    y3 = (p_d[:, 0] * (st * p_m[:, 0] + ct * p_m[:, 1])
+          - p_d[:, 1] * (ct * p_m[:, 0] - st * p_m[:, 1]))
+
+    # Heading-consensus term; sign(0) = 0 keeps a dead-center error at zero.
+    y4 = wrap_angle(dpsi + sigma_psi * np.sign(dpsi) * q)
+    return pos, _clamp(y3, raw_bearing) + 2.0 * _clamp(y4, dpsi)
 
 
-def _tau_psi1(p_d: np.ndarray, p_m: np.ndarray) -> float:
-    """Bearing-coupled heading term p_d^T S^T p_m (z cross product)."""
-    return p_d[0] * p_m[1] - p_d[1] * p_m[0]
+def _clamp(y, a):
+    """Elementwise ``clamp_dz`` of scalars, by sign and magnitude.
+
+    Same as 0 < y a <= a^2, but tiny values cannot underflow the product.
+    """
+    return np.where((np.sign(y) * np.sign(a) > 0.0)
+                    & (np.abs(y) <= np.abs(a)), y, 0.0)
+
+
+def _stack(measurements):
+    """Stack (measured, desired) pairs into the kernel's edge arrays."""
+    if not measurements:
+        raise ValueError("at least one observation is required")
+    meas, des = zip(*measurements)
+    return (np.array([m.p_m for m in meas]), np.array([m.psi_m for m in meas]),
+            np.array([d.p_d for d in des]), np.array([d.psi_d for d in des]),
+            np.array([m.cov_p for m in meas]),
+            np.array([m.var_psi for m in meas]))
+
+
+def _command(terms, cfg: ControllerConfig, dt: float) -> ControlCommand:
+    pos, ang = terms
+    cap = cfg.omega_cap / dt
+    omega = cfg.k_e * float(ang.sum())
+    return ControlCommand(cfg.k_e * pos.sum(axis=0),
+                          min(max(omega, -cap), cap))
 
 
 def proportional_command(measurements, cfg: ControllerConfig,
@@ -132,135 +237,8 @@ def proportional_command(measurements, cfg: ControllerConfig,
     error; omega sums the bearing cross term and twice the wrapped heading
     error. ``dt`` is the control period used by the heading-rate cap.
     """
-    if not measurements:
-        raise ValueError("at least one observation is required")
-    u = np.zeros(3)
-    omega = 0.0
-    for meas, des in measurements:
-        dpsi = wrap_angle(meas.psi_m - des.psi_d)
-        p_d_rot = rotz(dpsi) @ des.p_d
-        u += (meas.p_m - des.p_d) + (meas.p_m - p_d_rot)
-        omega += _tau_psi1(des.p_d, meas.p_m) + 2.0 * dpsi
-    u *= cfg.k_e
-    omega *= cfg.k_e
-    return ControlCommand(u, _cap_omega(omega, cfg, dt))
-
-
-def _cap_omega(omega: float, cfg: ControllerConfig, dt: float) -> float:
-    cap = cfg.omega_cap / dt
-    return min(max(omega, -cap), cap)
-
-
-def setpoint_p1(meas: NoisyRelativePose, des: DesiredRelativePose,
-                ell: float) -> np.ndarray:
-    """Restrained target for the direct position term.
-
-    The position error is reduced to a 1D Gaussian along the line from the
-    desired to the measured relative position (Mahalanobis reduction), and
-    the setpoint backs off from the measurement mean by sigma * Phi^-1(ell)
-    along that line. Coincident measured and desired positions return the
-    measurement itself.
-    """
-    diff = meas.p_m - des.p_d
-    if not np.any(diff):
-        return meas.p_m.copy()
-    m2 = float(diff @ np.linalg.solve(meas.cov_p, diff))
-    return meas.p_m + diff / math.sqrt(m2) * std_normal_quantile(ell)
-
-
-def approx_rotated_desired(meas: NoisyRelativePose, des: DesiredRelativePose):
-    """Gaussian surrogate for the heading-rotated desired position.
-
-    Rotating the desired relative position by a noisy heading difference
-    yields a banana-shaped distribution on a horizontal circle. It is
-    replaced by a Gaussian whose mean pulls the horizontal part inward by
-    cos(sigma_psi) and whose covariance has radial, tangential and vertical
-    eigenvalues r^2 * [(1 - cos s)^2, sin^2 s, DELTA^2], with s clipped to
-    pi/2. Returns (mean, covariance). A desired position on the vertical
-    axis has no tangent direction; the covariance falls back to DELTA^2 * I.
-    """
-    dpsi = wrap_angle(meas.psi_m - des.psi_d)
-    p_dr = rotz(dpsi) @ des.p_d
-    sigma_psi = math.sqrt(meas.var_psi)
-    p_hat = p_dr.copy()
-    p_hat[:2] *= math.cos(sigma_psi)
-
-    r = math.hypot(p_dr[0], p_dr[1])
-    if r == 0.0:
-        return p_hat, DELTA ** 2 * np.eye(3)
-    s_c = min(sigma_psi, 0.5 * math.pi)
-    radial = np.array([p_dr[0] / r, p_dr[1] / r, 0.0])
-    tangent = np.array([-radial[1], radial[0], 0.0])
-    vertical = np.array([0.0, 0.0, 1.0])
-    lam = r * r * np.array([(1.0 - math.cos(s_c)) ** 2,
-                            math.sin(s_c) ** 2,
-                            DELTA ** 2])
-    cov_t = (lam[0] * np.outer(radial, radial)
-             + lam[1] * np.outer(tangent, tangent)
-             + lam[2] * np.outer(vertical, vertical))
-    return p_hat, cov_t
-
-
-def setpoint_p2(meas: NoisyRelativePose, des: DesiredRelativePose,
-                ell: float) -> np.ndarray:
-    """Restrained target for the rotation-compensated position term.
-
-    Same construction as ``setpoint_p1`` but measured against the Gaussian
-    surrogate of the rotated desired position, under the combined covariance
-    of measurement and surrogate.
-    """
-    p_hat, cov_t = approx_rotated_desired(meas, des)
-    diff = meas.p_m - p_hat
-    if not np.any(diff):
-        return meas.p_m.copy()
-    cov_c = meas.cov_p + cov_t
-    m2 = float(diff @ np.linalg.solve(cov_c, diff))
-    return meas.p_m + diff / math.sqrt(m2) * std_normal_quantile(ell)
-
-
-def bearing_sigma(meas: NoisyRelativePose) -> float:
-    """Approximate bearing standard deviation of a position measurement.
-
-    The position covariance is rotated so the bearing axis aligns with x;
-    the (2,2) element then holds the horizontal-tangential variance, and its
-    square root over the measurement range approximates the angular spread.
-    Valid when the range is large against the covariance axes.
-    """
-    norm = float(np.linalg.norm(meas.p_m))
-    if norm == 0.0:
-        raise ValueError("bearing of a zero-length measurement is undefined")
-    beta = math.atan2(meas.p_m[1], meas.p_m[0])
-    rot = rotz(-beta)
-    c_r = rot @ meas.cov_p @ rot.T
-    return math.sqrt(max(c_r[1, 1], 0.0)) / norm
-
-
-def restrained_bearing_term(meas: NoisyRelativePose, des: DesiredRelativePose,
-                            ell: float) -> float:
-    """Pre-clamp replacement of the bearing-coupled heading term.
-
-    The measured position is rotated horizontally toward the desired bearing
-    by sigma_beta * |Phi^-1(ell)| (never past it; if the rotation overshoots,
-    the sign flip makes the clamp in ``restrained_command`` zero the term).
-    Degenerate horizontal projections contribute zero.
-    """
-    r_d = math.hypot(des.p_d[0], des.p_d[1])
-    r_m = math.hypot(meas.p_m[0], meas.p_m[1])
-    if r_d == 0.0 or r_m == 0.0:
-        return 0.0
-    zeta_d = math.atan2(des.p_d[1], des.p_d[0])
-    zeta_m = math.atan2(meas.p_m[1], meas.p_m[0])
-    sign = _sign(wrap_angle(zeta_d - zeta_m))
-    theta = sign * bearing_sigma(meas) * (-std_normal_quantile(ell))
-    return _tau_psi1(des.p_d, rotz(theta) @ meas.p_m)
-
-
-def setpoint_psi2(meas: NoisyRelativePose, des: DesiredRelativePose,
-                  ell: float) -> float:
-    """Restrained target heading for the heading-consensus term."""
-    err = wrap_angle(meas.psi_m - des.psi_d)
-    offset = math.sqrt(meas.var_psi) * _sign(err) * std_normal_quantile(ell)
-    return wrap_angle(meas.psi_m + offset)
+    p_m, psi_m, p_d, psi_d, _, _ = _stack(measurements)
+    return _command(edge_terms(p_m, psi_m, p_d, psi_d), cfg, dt)
 
 
 def restrained_command(measurements, cfg: ControllerConfig,
@@ -269,44 +247,12 @@ def restrained_command(measurements, cfg: ControllerConfig,
 
     Each term is clamped against its raw proportional counterpart, so any
     term whose measured error falls inside its dead zone contributes zero.
-    At ell = 0.5 the quantile vanishes: the positional setpoints collapse
-    onto the measurement, the rotated-desired term keeps its raw anchor, and
-    every clamp passes its argument through unchanged.
     """
-    if not measurements:
-        raise ValueError("at least one observation is required")
     if not cfg.restraining:
         raise ValueError("restraining is disabled in this configuration")
-    q = cfg.quantile
-    u = np.zeros(3)
-    omega = 0.0
-    # Per-edge terms are grouped exactly as in proportional_command so the
-    # ell = 0.5 collapse is equal bit for bit, not merely close.
-    for meas, des in measurements:
-        a1 = meas.p_m - des.p_d
-        term1 = clamp_dz(setpoint_p1(meas, des, cfg.ell) - des.p_d, a1)
-
-        if q == 0.0:
-            # Quantile zero disables the Gaussian surrogate; the term
-            # reduces to its raw proportional form.
-            dpsi = wrap_angle(meas.psi_m - des.psi_d)
-            term2 = meas.p_m - rotz(dpsi) @ des.p_d
-        else:
-            p_hat, _ = approx_rotated_desired(meas, des)
-            a2 = meas.p_m - p_hat
-            term2 = clamp_dz(setpoint_p2(meas, des, cfg.ell) - p_hat, a2)
-        u += term1 + term2
-
-        raw = _tau_psi1(des.p_d, meas.p_m)
-        term3 = clamp_dz(restrained_bearing_term(meas, des, cfg.ell), raw)
-
-        a4 = wrap_angle(meas.psi_m - des.psi_d)
-        y4 = wrap_angle(setpoint_psi2(meas, des, cfg.ell) - des.psi_d)
-        omega += term3 + 2.0 * clamp_dz(y4, a4)
-
-    u *= cfg.k_e
-    omega *= cfg.k_e
-    return ControlCommand(u, _cap_omega(omega, cfg, dt))
+    p_m, psi_m, p_d, psi_d, cov_p, var_psi = _stack(measurements)
+    return _command(edge_terms(p_m, psi_m, p_d, psi_d, cfg.quantile, cov_p,
+                               var_psi), cfg, dt)
 
 
 def command(measurements, cfg: ControllerConfig, dt: float = 1.0

@@ -1,9 +1,8 @@
 """Shared geometric and statistical primitives.
 
 Wrapped angles on the half-open interval (-pi, pi], planar z-axis rotations,
-agent/relative pose containers, the standard normal CDF and its inverse,
-Mahalanobis reduction of a 3D covariance along a direction, and a small dense
-symmetric eigensolver (cyclic Jacobi). Everything here is pure and stateless.
+agent/relative pose containers, covariance validation, and the standard
+normal CDF and its inverse. Everything here is pure and stateless.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 TAU = 2.0 * math.pi
 
@@ -110,7 +110,7 @@ def ensure_covariance3(mat, tol: float = 1e-12) -> np.ndarray:
     if np.abs(m - m.T).max() > tol * scale:
         raise ValueError("covariance must be symmetric")
     tr = float(np.trace(m))
-    evals, _ = symmetric_eigen(0.5 * (m + m.T))
+    evals = np.linalg.eigvalsh(0.5 * (m + m.T))
     if evals[0] < -tol * max(tr, 1.0):
         raise ValueError(f"covariance must be positive semidefinite, "
                          f"min eigenvalue {evals[0]:g}")
@@ -124,128 +124,9 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _std_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(TAU)
-
-
-# Rational approximation coefficients (Acklam), |error| < 1.2e-9 before the
-# Newton refinement below.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
-
-
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for p in (0, 1).
-
-    Rational approximation refined with one Newton step against the erfc
-    based CDF; absolute error well below 1e-9 on (1e-300, 1 - 1e-16).
-    Returns exactly 0.0 for p = 0.5.
-    """
+    """Inverse standard normal CDF for p in (0, 1); exactly 0.0 at p = 0.5."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must be in (0, 1), got {p!r}")
-    if p == 0.5:
-        return 0.0
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4])
-              * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4])
-              * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r
-                 + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4])
-               * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # One Newton step; the pdf is far from zero wherever the raw error is.
-    err = std_normal_cdf(x) - p
-    pdf = _std_normal_pdf(x)
-    if pdf > 0.0:
-        x -= err / pdf
-    return x
-
-
-def mahalanobis_sigma(v, cov: np.ndarray) -> float:
-    """Standard deviation of a 3D Gaussian reduced along direction v.
-
-    sigma = ||v|| / sqrt(v^T C^{-1} v). Raises on a zero-length direction;
-    a singular covariance propagates numpy's LinAlgError.
-    """
-    v = np.asarray(v, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("direction vector must be nonzero")
-    m2 = float(v @ np.linalg.solve(cov, v))
-    if m2 <= 0.0:
-        raise np.linalg.LinAlgError("covariance is not positive definite")
-    return norm / math.sqrt(m2)
-
-
-def symmetric_eigen(a, sym_tol: float = 1e-9):
-    """Eigendecomposition of a small dense symmetric matrix.
-
-    Cyclic Jacobi rotations with a fixed sweep order, so results are
-    bit-stable across calls. Returns (eigenvalues, eigenvectors) with the
-    eigenvalues ascending and column k of the orthonormal eigenvector
-    matrix paired with eigenvalue k.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = max(float(np.abs(a).max()), 1.0)
-    if np.abs(a - a.T).max() > sym_tol * scale:
-        raise ValueError("matrix must be symmetric")
-    m = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n == 1:
-        return m.diagonal().copy(), v
-
-    eps = np.finfo(float).eps
-    for _ in range(60):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off = max(off, abs(m[i, j]))
-        if off <= 10.0 * eps * scale:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                mij = m[i, j]
-                if abs(mij) <= eps * scale * 1e-3:
-                    continue
-                tau = (m[j, j] - m[i, i]) / (2.0 * mij)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_i = c * m[:, i] - s * m[:, j]
-                rot_j = s * m[:, i] + c * m[:, j]
-                m[:, i], m[:, j] = rot_i, rot_j
-                rot_i = c * m[i, :] - s * m[j, :]
-                rot_j = s * m[i, :] + c * m[j, :]
-                m[i, :], m[j, :] = rot_i, rot_j
-                m[i, j] = m[j, i] = 0.0
-                rot_i = c * v[:, i] - s * v[:, j]
-                rot_j = s * v[:, i] + c * v[:, j]
-                v[:, i], v[:, j] = rot_i, rot_j
-
-    evals = m.diagonal().copy()
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
+    return float(ndtri(p))

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import symmetric_eigen
-
 
 @dataclass(frozen=True)
 class ObservationGraph:
@@ -106,8 +104,7 @@ def fiedler_value(g: ObservationGraph) -> float:
     """Second-smallest Laplacian eigenvalue; zero iff disconnected."""
     if g.n < 2:
         raise ValueError("Fiedler value needs at least two vertices")
-    evals, _ = symmetric_eigen(laplacian(g))
-    return max(float(evals[1]), 0.0)
+    return max(float(np.linalg.eigvalsh(laplacian(g))[1]), 0.0)
 
 
 def remove_random_edges_keep_connected(g: ObservationGraph, fraction: float,

@@ -344,7 +344,6 @@ def run_1d_two_agents(cfg: OneDConfig, delta0: float | None = None
     d0 = cfg.sigma_init if delta0 is None else delta0
     p1 = np.zeros(n)
     p2 = np.full(n, cfg.d + d0)
-    q = cfg.quantile
     s = cfg.sigma_m
     delta_mean = np.empty(cfg.horizon)
     delta_abs_mean = np.empty(cfg.horizon)
@@ -353,16 +352,15 @@ def run_1d_two_agents(cfg: OneDConfig, delta0: float | None = None
         delta12 = p2 - p1 - cfg.d
         d12 = delta12 + rng.standard_normal(n) * s
         d21 = -delta12 + rng.standard_normal(n) * s
-        move1 = np.abs(d12) > -s * q
-        move2 = np.abs(d21) > -s * q
-        y12 = d12 + np.sign(d12) * s * q
-        y21 = d21 + np.sign(d21) * s * q
-        p1 = p1 + np.where(move1, cfg.k_ef * y12, 0.0)
-        p2 = p2 + np.where(move2, cfg.k_ef * y21, 0.0)
+        move1 = restrained_displacement(d12, s, cfg)
+        move2 = restrained_displacement(d21, s, cfg)
+        p1 = p1 + move1
+        p2 = p2 + move2
         delta12 = p2 - p1 - cfg.d
         delta_mean[k] = delta12.mean()
         delta_abs_mean[k] = np.abs(delta12).mean()
-        clamp_rate[k] = 1.0 - 0.5 * (move1.mean() + move2.mean())
+        clamp_rate[k] = 1.0 - 0.5 * ((move1 != 0.0).mean()
+                                     + (move2 != 0.0).mean())
     return TwoAgentTrace(delta_mean, delta_abs_mean, clamp_rate)
 
 
@@ -370,10 +368,11 @@ def run_1d_two_agents(cfg: OneDConfig, delta0: float | None = None
 
 
 def _suffix_moments(dev: np.ndarray):
-    """Reverse-cumulative first and second moments of a deviation series."""
-    rev2 = np.cumsum(dev[::-1] ** 2)[::-1]
-    rev1 = np.cumsum(dev[::-1])[::-1]
-    count = np.arange(dev.size, 0, -1, dtype=float)
+    """Reverse-cumulative RMS and spread of a deviation series (axis 0)."""
+    rev2 = np.cumsum(dev[::-1] ** 2, axis=0)[::-1]
+    rev1 = np.cumsum(dev[::-1], axis=0)[::-1]
+    count = np.arange(dev.shape[0], 0, -1, dtype=float)
+    count = count.reshape((-1,) + (1,) * (dev.ndim - 1))
     mean = rev1 / count
     rms = np.sqrt(rev2 / count)
     var = np.maximum(rev2 / count - mean ** 2, 0.0)
@@ -390,33 +389,46 @@ def convergence_metrics_1d(history, d: float, f: float, debug: bool = False):
     max(k_c, M/2) so the post-entry transient ramp cannot inflate it.
     mean_dv averages |v[k] - v[k-1]| over consecutive velocity segments.
 
-    A history that never enters the band gets k_c equal to the last index
-    and converged=False in the debug payload.
+    A (M, R) history holds R runs in its columns; every metric is then an
+    array over the runs. A history that never enters the band gets k_c
+    equal to the last index and converged=False in the debug payload.
     """
-    x = np.asarray(history, dtype=float).ravel()
-    if x.size < 10:
+    x = np.asarray(history, dtype=float)
+    if x.ndim != 2:
+        x = x.ravel()
+    size = x.shape[0]
+    if size < 10:
         raise ValueError("need a history of at least 10 samples")
     dev = x - d
     rms, std_mean = _suffix_moments(dev)
     inside = np.abs(dev) <= 3.0 * rms
-    converged = bool(inside.any())
-    k_c = int(np.argmax(inside)) if converged else x.size - 1
-    tail_start = max(k_c, x.size // 2)
-    sigma_t = float(np.std(dev[tail_start:]))
-    v = np.diff(x) * f
-    mean_dv = float(np.abs(np.diff(v)).mean()) if v.size >= 2 else 0.0
-    t_c = k_c / f
+    converged = inside.any(axis=0)
+    k_c = np.where(converged, np.argmax(inside, axis=0), size - 1)
+    runs = dev.reshape(size, -1)  # (M, R) view; R = 1 for a single run
+    tail_start = np.maximum(k_c, size // 2).ravel()
+    sigma_t = np.array([runs[t:, r].std() for r, t in enumerate(tail_start)]
+                       ).reshape(k_c.shape)
+    v = np.diff(x, axis=0) * f
+    mean_dv = np.abs(np.diff(v, axis=0)).mean(axis=0)
+    # One run gives plain Python scalars, R runs give arrays over the runs.
+    out = (lambda val: np.asarray(val).item()) if x.ndim == 1 else np.asarray
     if not debug:
-        return t_c, sigma_t, mean_dv
+        return out(k_c / f), out(sigma_t), out(mean_dv)
     # Literal band-exit reading of the convergence index, for comparison.
-    exits = np.nonzero(np.abs(dev[:-1]) > 3.0 * rms[1:])[0]
-    k_literal = int(exits[0] + 1) if exits.size else 0
+    exits = np.abs(dev[:-1]) > 3.0 * rms[1:]
+    k_literal = np.where(exits.any(axis=0), np.argmax(exits, axis=0) + 1, 0)
+
+    def at_kc(series):
+        return series.reshape(size, -1)[k_c.ravel(), np.arange(runs.shape[1])
+                                        ].reshape(k_c.shape)
+
     return {
-        "t_c": t_c, "sigma_t": sigma_t, "mean_dv": mean_dv,
-        "k_c": k_c, "converged": converged,
-        "k_c_literal": k_literal,
-        "sigma_fin_rms_at_kc": float(rms[k_c]),
-        "sigma_fin_std_at_kc": float(std_mean[k_c]),
+        "t_c": out(k_c / f), "sigma_t": out(sigma_t),
+        "mean_dv": out(mean_dv),
+        "k_c": out(k_c), "converged": out(converged),
+        "k_c_literal": out(k_literal),
+        "sigma_fin_rms_at_kc": out(at_kc(rms)),
+        "sigma_fin_std_at_kc": out(at_kc(std_mean)),
     }
 
 
@@ -448,18 +460,8 @@ def tradeoff_sweep(k_grid, ells, n_runs: int = 500, horizon: int = 2000,
                 m = x + rng.standard_normal(n_runs) * sigma_m
                 x = x + restrained_displacement(cfg.d - m, sigma_m, cfg)
                 states[k + 1] = x
-            dev = states
-            rev2 = np.cumsum(dev[::-1] ** 2, axis=0)[::-1]
-            count = np.arange(horizon + 1, 0, -1, dtype=float)[:, None]
-            rms = np.sqrt(rev2 / count)
-            inside = np.abs(dev) <= 3.0 * rms
-            k_c = inside.argmax(axis=0)
-            tail = np.maximum(k_c, (horizon + 1) // 2)
-            sig_t = np.array([dev[tail[i]:, i].std()
-                              for i in range(n_runs)])
-            v = np.diff(states, axis=0) * f
-            dv = np.abs(np.diff(v, axis=0)).mean(axis=0)
-            out[(k_ef, ell)] = (float(k_c.mean() / f), float(sig_t.mean()),
+            t_c, sig_t, dv = convergence_metrics_1d(states, cfg.d, f)
+            out[(k_ef, ell)] = (float(t_c.mean()), float(sig_t.mean()),
                                 float(dv.mean()))
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import DELTA, NoisyRelativePose
-from .core import RelativePose, wrap_angle
+from .core import RelativePose
 
 
 @dataclass(frozen=True)
@@ -41,52 +41,72 @@ class SensorSpec:
             raise ValueError("rate_hz must be positive")
 
 
-def covariance_sigmas(distance: float, spec: SensorSpec):
+def covariance_sigmas(distance, spec: SensorSpec):
     """(radial, tangential) standard deviations at a given range, floored."""
-    return (max(spec.dist_frac_sigma * distance, DELTA),
-            max(spec.bearing_sigma * distance, DELTA))
+    return (np.maximum(spec.dist_frac_sigma * distance, DELTA),
+            np.maximum(spec.bearing_sigma * distance, DELTA))
+
+
+def position_covariance(r_hat, s_r, s_t) -> np.ndarray:
+    """C = s_t^2 (I - r r^T) + s_r^2 r r^T for radial unit vectors (..., 3).
+
+    The sigmas broadcast over the leading axes; returns (..., 3, 3).
+    """
+    r_hat = np.asarray(r_hat, dtype=float)
+    s_r = np.asarray(s_r, dtype=float)[..., None, None]
+    s_t = np.asarray(s_t, dtype=float)[..., None, None]
+    return s_t ** 2 * np.eye(3) + (s_r ** 2 - s_t ** 2) \
+        * (r_hat[..., :, None] * r_hat[..., None, :])
 
 
 def covariance_for(p_true, spec: SensorSpec) -> np.ndarray:
     """Position covariance at the true relative position.
 
-    C = sigma_t^2 (I - rr^T) + sigma_r^2 rr^T with r the radial unit vector,
-    sigma_r = dist_frac_sigma * d and sigma_t = bearing_sigma * d. Both
-    eigenvalues are floored at DELTA^2 so C stays positive definite for
-    zero-noise configurations.
+    sigma_r = dist_frac_sigma * d and sigma_t = bearing_sigma * d, both
+    floored at DELTA so C stays positive definite for zero-noise
+    configurations.
     """
     p = np.asarray(p_true, dtype=float).reshape(3)
-    d = float(np.linalg.norm(p))
+    d = np.linalg.norm(p, axis=-1)
     if d == 0.0:
         raise ValueError("relative distance must be positive")
-    r_hat = p / d
-    s_r, s_t = covariance_sigmas(d, spec)
-    return s_t ** 2 * np.eye(3) + (s_r ** 2 - s_t ** 2) * np.outer(r_hat, r_hat)
+    return position_covariance(p / d, *covariance_sigmas(d, spec))
+
+
+def perturb(p_rel, psi_rel, z, spec: SensorSpec):
+    """Noisy relative poses from true ones and standard normals z (..., 4).
+
+    The position moves by A z[..., :3], A the symmetric square root of the
+    covariance at the raw (unfloored) sigmas, so zero noise stays exact; the
+    heading moves by heading_sigma z[..., 3] and is left unwrapped. Returns
+    (p_m, psi_m, distance, radial unit vector).
+    """
+    dist = np.linalg.norm(p_rel, axis=-1)
+    if np.any(dist == 0.0):
+        raise ArithmeticError("two agents coincide; relative pose undefined")
+    r_hat = p_rel / dist[..., None]
+    s_r = spec.dist_frac_sigma * dist
+    s_t = spec.bearing_sigma * dist
+    z_p = z[..., :3]
+    z_r = np.einsum("...i,...i->...", z_p, r_hat)
+    p_m = p_rel + s_t[..., None] * z_p \
+        + (s_r - s_t)[..., None] * z_r[..., None] * r_hat
+    return p_m, psi_rel + spec.heading_sigma * z[..., 3], dist, r_hat
 
 
 def sample_measurement(rng: np.random.Generator, true_rel: RelativePose,
                        spec: SensorSpec) -> NoisyRelativePose:
     """Draw one noisy measurement of a true relative pose.
 
-    The position perturbation is A z with z a standard normal 3-vector and
-    A the symmetric square root of the covariance (same radial/tangential
-    frame). The attached statistics are exactly the generating ones.
+    Four standard normals, position first. The attached statistics are
+    exactly the generating ones, floored.
     """
-    p = true_rel.p_rel
-    d = float(np.linalg.norm(p))
-    if d == 0.0:
-        raise ValueError("relative distance must be positive")
-    r_hat = p / d
-    # Draw with the raw magnitudes (zero noise stays exact); the floor only
-    # protects the attached covariance from degeneracy.
-    s_r_raw = spec.dist_frac_sigma * d
-    s_t_raw = spec.bearing_sigma * d
-    z = rng.standard_normal(3)
-    p_m = p + s_t_raw * z + (s_r_raw - s_t_raw) * float(z @ r_hat) * r_hat
-    psi_m = wrap_angle(true_rel.psi_rel + spec.heading_sigma
-                       * rng.standard_normal())
-    s_r, s_t = covariance_sigmas(d, spec)
-    cov = s_t ** 2 * np.eye(3) + (s_r ** 2 - s_t ** 2) * np.outer(r_hat, r_hat)
+    try:
+        p_m, psi_m, d, r_hat = perturb(true_rel.p_rel, true_rel.psi_rel,
+                                       rng.standard_normal(4), spec)
+    except ArithmeticError as exc:
+        raise ValueError("relative distance must be positive") from exc
+    cov = position_covariance(r_hat, *covariance_sigmas(d, spec))
     return NoisyRelativePose(p_m, psi_m, cov, spec.heading_sigma ** 2)
 
 

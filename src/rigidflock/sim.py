@@ -5,27 +5,26 @@ a command from the latest measurements, then fly straight and rotate at a
 constant rate until the next sample. Ground truth is kept by the simulator
 and used only for error metrics, never by the controllers.
 
-The per-step command math is vectorized over all edges; it reproduces the
-scalar functions in ``control`` to floating-point accuracy (asserted by the
-test suite), and one (scenario, seed) pair always reproduces the same run
-bit for bit.
+Each step evaluates the control law once over all edges through
+``control.edge_terms``, the kernel behind the per-agent commands too; a
+property test checks it against an independent scalar form of the law. One
+(scenario, seed) pair always reproduces the same run bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import DELTA, ControllerConfig
+from .control import ControllerConfig, edge_terms
 from .core import AgentPose, relative_pose, wrap_angle
 from .graphs import ObservationGraph, count_passive_sinks, fiedler_value, \
     is_connected, remove_random_edges_keep_connected
 from .oned import convergence_metrics_1d
-from .sensors import SensorSpec, init_stream, measurement_stream
+from .sensors import (SensorSpec, covariance_sigmas, init_stream,
+                      measurement_stream, perturb, position_covariance)
 
 
 class ScenarioError(ValueError):
@@ -109,20 +108,10 @@ def formation_error(poses, desired, graph: ObservationGraph):
     """
     if not graph.edges:
         raise ValueError("graph has no edges")
-    per_agent_p = {}
-    per_agent_psi = {}
-    sq_sum = 0.0
-    for i, j in graph.sorted_edges():
-        rel = relative_pose(poses[i], poses[j])
-        rel_d = relative_pose(desired[i], desired[j])
-        dp = float(np.linalg.norm(rel_d.p_rel - rel.p_rel))
-        dpsi = abs(wrap_angle(rel_d.psi_rel - rel.psi_rel))
-        sq_sum += dp * dp + dpsi * dpsi
-        per_agent_p.setdefault(i, []).append(dp)
-        per_agent_psi.setdefault(i, []).append(dpsi)
-    e_p = float(np.mean([np.mean(v) for v in per_agent_p.values()]))
-    e_psi = float(np.mean([np.mean(v) for v in per_agent_psi.values()]))
-    return math.sqrt(sq_sum), e_p, e_psi
+    positions = np.array([q.p for q in poses])
+    headings = np.array([q.psi for q in poses])
+    return _error_series_entry(positions, headings,
+                               _EdgeCache(desired, graph))[:3]
 
 
 @dataclass
@@ -154,24 +143,26 @@ def init_state(scenario: Scenario, run_id: int = 0) -> SimState:
 
 
 class _EdgeCache:
-    """Precomputed static edge arrays of a scenario."""
+    """Precomputed static edge arrays of a desired formation and graph."""
 
-    def __init__(self, scenario: Scenario):
-        edges = scenario.graph.sorted_edges()
+    def __init__(self, desired, graph: ObservationGraph):
+        edges = graph.sorted_edges()
         self.obs_i = np.array([i for i, _ in edges], dtype=int)
         self.obs_j = np.array([j for _, j in edges], dtype=int)
         self.n_edges = len(edges)
-        des = scenario.desired
         p_d = np.empty((self.n_edges, 3))
         psi_d = np.empty(self.n_edges)
         for e, (i, j) in enumerate(edges):
-            rel = relative_pose(des[i], des[j])
+            rel = relative_pose(desired[i], desired[j])
             p_d[e] = rel.p_rel
             psi_d[e] = rel.psi_rel
         self.p_d = p_d
         self.psi_d = psi_d
         # Draw counts per agent, ascending agent order (matches sorted edges).
-        self.deg = np.bincount(self.obs_i, minlength=scenario.graph.n)
+        self.deg = np.bincount(self.obs_i, minlength=graph.n)
+        # Sorted edges group by observer: one slice per observing agent.
+        ends = np.cumsum(self.deg)
+        self.groups = [slice(e - d, e) for d, e in zip(self.deg, ends) if d]
 
 
 def _true_relative(positions, headings, cache: _EdgeCache):
@@ -200,106 +191,22 @@ def _draw_noise(state: SimState, cache: _EdgeCache) -> np.ndarray:
 
 def _edge_commands(p_m, psi_m, s_r, s_t, r_hat, cache: _EdgeCache,
                    cfg: ControllerConfig, var_psi: float):
-    """Per-edge restrained or proportional control terms, vectorized.
+    """Per-edge restrained or proportional control terms of one step.
 
-    Returns (position terms (E, 3), heading terms (E,)). Mirrors the scalar
-    functions in ``control`` exactly; the clamp of the two positional terms
-    is reduced algebraically (the restrained offset is collinear with the
-    raw error, so the clamp passes iff the Mahalanobis norm of the error
-    exceeds |Phi^-1(ell)|).
+    At ell = 0.5 the restrained law equals the proportional one bit for bit,
+    so both take the proportional path and skip the covariances.
     """
-    p_d = cache.p_d
-    dpsi_m = wrap_angle(psi_m - cache.psi_d)
-    cm, sm = np.cos(dpsi_m), np.sin(dpsi_m)
-    p_dr = np.stack([cm * p_d[:, 0] - sm * p_d[:, 1],
-                     sm * p_d[:, 0] + cm * p_d[:, 1],
-                     p_d[:, 2]], axis=1)
-    raw_bearing = p_d[:, 0] * p_m[:, 1] - p_d[:, 1] * p_m[:, 0]
-
     if not cfg.restraining or cfg.ell == 0.5:
-        pos = (p_m - p_d) + (p_m - p_dr)
-        ang = raw_bearing + 2.0 * dpsi_m
-        return pos, ang
-
-    q = cfg.quantile
-    n_e = cache.n_edges
-
-    # Direct position term: closed-form Mahalanobis under the radial-
-    # tangential covariance.
-    a1 = p_m - p_d
-    a1_r = np.einsum("ij,ij->i", a1, r_hat)
-    a1_sq = np.einsum("ij,ij->i", a1, a1)
-    m1_sq = (a1_sq - a1_r ** 2) / s_t ** 2 + a1_r ** 2 / s_r ** 2
-    m1 = np.sqrt(np.maximum(m1_sq, 0.0))
-    fac1 = np.where(m1 > -q, 1.0 + q / np.where(m1 > 0.0, m1, 1.0), 0.0)
-    pos = a1 * fac1[:, None]
-
-    # Rotated-desired term under the combined covariance.
-    sigma_psi = math.sqrt(var_psi)
-    sig_c = min(sigma_psi, 0.5 * math.pi)
-    p_hat = p_dr.copy()
-    p_hat[:, :2] *= math.cos(sigma_psi)
-    rr = np.hypot(p_dr[:, 0], p_dr[:, 1])
-    ok = rr > 0.0
-    rad = np.zeros((n_e, 3))
-    rad[ok, 0] = p_dr[ok, 0] / rr[ok]
-    rad[ok, 1] = p_dr[ok, 1] / rr[ok]
-    tan = np.zeros((n_e, 3))
-    tan[:, 0], tan[:, 1] = -rad[:, 1], rad[:, 0]
-    lam_r = rr ** 2 * (1.0 - math.cos(sig_c)) ** 2
-    lam_t = rr ** 2 * math.sin(sig_c) ** 2
-    lam_v = rr ** 2 * DELTA ** 2
-    eye = np.eye(3)
-    cov = (s_t ** 2)[:, None, None] * eye \
-        + (s_r ** 2 - s_t ** 2)[:, None, None] \
-        * np.einsum("ij,ik->ijk", r_hat, r_hat)
-    cov_t = (lam_r[:, None, None] * np.einsum("ij,ik->ijk", rad, rad)
-             + lam_t[:, None, None] * np.einsum("ij,ik->ijk", tan, tan))
-    cov_t[:, 2, 2] += lam_v
-    cov_t[~ok] = DELTA ** 2 * eye
-    a2 = p_m - p_hat
-    sol = np.linalg.solve(cov + cov_t, a2[:, :, None])[:, :, 0]
-    m2 = np.sqrt(np.maximum(np.einsum("ij,ij->i", a2, sol), 0.0))
-    fac2 = np.where(m2 > -q, 1.0 + q / np.where(m2 > 0.0, m2, 1.0), 0.0)
-    pos = pos + a2 * fac2[:, None]
-
-    # Bearing term: rotate the measurement toward the desired bearing by
-    # sigma_beta |Phi^-1(ell)|, then clamp against the raw term.
-    r_m = np.hypot(p_m[:, 0], p_m[:, 1])
-    r_d = np.hypot(p_d[:, 0], p_d[:, 1])
-    okm = r_m > 0.0
-    t_hat = np.zeros((n_e, 3))
-    t_hat[okm, 0] = -p_m[okm, 1] / r_m[okm]
-    t_hat[okm, 1] = p_m[okm, 0] / r_m[okm]
-    t_dot_r = np.einsum("ij,ij->i", t_hat, r_hat)
-    var_tan = s_t ** 2 + (s_r ** 2 - s_t ** 2) * t_dot_r ** 2
-    dist = np.linalg.norm(p_m, axis=1)
-    safe = dist > 0.0
-    sigma_b = np.zeros(n_e)
-    sigma_b[safe] = np.sqrt(np.maximum(var_tan[safe], 0.0)) / dist[safe]
-    zeta_d = np.arctan2(p_d[:, 1], p_d[:, 0])
-    zeta_m = np.arctan2(p_m[:, 1], p_m[:, 0])
-    theta = np.sign(wrap_angle(zeta_d - zeta_m)) * sigma_b * (-q)
-    ct, st_ = np.cos(theta), np.sin(theta)
-    y3 = (p_d[:, 0] * (st_ * p_m[:, 0] + ct * p_m[:, 1])
-          - p_d[:, 1] * (ct * p_m[:, 0] - st_ * p_m[:, 1]))
-    prod = y3 * raw_bearing
-    ang = np.where((prod > 0.0) & (prod <= raw_bearing ** 2)
-                   & (r_d > 0.0) & okm, y3, 0.0)
-
-    # Heading-consensus term.
-    y4 = wrap_angle(dpsi_m + sigma_psi * np.sign(dpsi_m) * q)
-    prod4 = y4 * dpsi_m
-    ang = ang + 2.0 * np.where((prod4 > 0.0) & (prod4 <= dpsi_m ** 2),
-                               y4, 0.0)
-    return pos, ang
+        return edge_terms(p_m, psi_m, cache.p_d, cache.psi_d)
+    return edge_terms(p_m, psi_m, cache.p_d, cache.psi_d, cfg.quantile,
+                      position_covariance(r_hat, s_r, s_t), var_psi)
 
 
 def step(state: SimState, scenario: Scenario,
          cache: _EdgeCache | None = None) -> SimState:
     """Advance one measurement period: sample, command, integrate."""
     if cache is None:
-        cache = _EdgeCache(scenario)
+        cache = _EdgeCache(scenario.desired, scenario.graph)
     new_state, _, _ = _step_recorded(state, scenario, cache)
     return new_state
 
@@ -311,20 +218,12 @@ def _step_recorded(state: SimState, scenario: Scenario, cache: _EdgeCache):
     n = scenario.graph.n
 
     p_rel, psi_rel = _true_relative(state.positions, state.headings, cache)
-    dist = np.linalg.norm(p_rel, axis=1)
-    if np.any(dist == 0.0):
-        raise ArithmeticError("two agents coincide; relative pose undefined")
-    r_hat = p_rel / dist[:, None]
-    s_r_raw = spec.dist_frac_sigma * dist
-    s_t_raw = spec.bearing_sigma * dist
-    z = _draw_noise(state, cache)
-    z_r = np.einsum("ij,ij->i", z[:, :3], r_hat)
-    p_m = p_rel + s_t_raw[:, None] * z[:, :3] \
-        + (s_r_raw - s_t_raw)[:, None] * z_r[:, None] * r_hat
-    psi_m = wrap_angle(psi_rel + spec.heading_sigma * z[:, 3])
+    p_m, psi_m, dist, r_hat = perturb(p_rel, psi_rel,
+                                      _draw_noise(state, cache), spec)
+    _require_finite(state.step_index + 1, "measurements", p_m)
+    psi_m = wrap_angle(psi_m)
     # The controller sees floored covariances, never degenerate ones.
-    s_r = np.maximum(s_r_raw, DELTA)
-    s_t = np.maximum(s_t_raw, DELTA)
+    s_r, s_t = covariance_sigmas(dist, spec)
 
     pos_terms, ang_terms = _edge_commands(p_m, psi_m, s_r, s_t, r_hat,
                                           cache, cfg, spec.heading_sigma ** 2)
@@ -341,11 +240,19 @@ def _step_recorded(state: SimState, scenario: Scenario, cache: _EdgeCache):
     u_world = np.stack([cw * u[:, 0] - sw * u[:, 1],
                         sw * u[:, 0] + cw * u[:, 1],
                         u[:, 2]], axis=1)
-    new = SimState(state.positions + u_world * dt,
-                   wrap_angle(state.headings + omega * dt),
-                   state.step_index + 1,
+    positions = state.positions + u_world * dt
+    headings = state.headings + omega * dt
+    _require_finite(state.step_index + 1, "positions", positions)
+    _require_finite(state.step_index + 1, "headings", headings)
+    new = SimState(positions, wrap_angle(headings), state.step_index + 1,
                    state.rngs)
     return new, u, omega
+
+
+def _require_finite(step_index: int, name: str, values):
+    """Overflow is a numerical fault, not bad input: name step and series."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite {name} at step {step_index}")
 
 
 def _error_series_entry(positions, headings, cache: _EdgeCache):
@@ -356,11 +263,8 @@ def _error_series_entry(positions, headings, cache: _EdgeCache):
     disp_psi = float(np.linalg.norm(dpsi))
     e_f = math.hypot(disp_p, disp_psi)
     per_edge_p = np.linalg.norm(dp, axis=1)
-    agents = np.unique(cache.obs_i)
-    e_p = float(np.mean([per_edge_p[cache.obs_i == a].mean()
-                         for a in agents]))
-    e_psi = float(np.mean([np.abs(dpsi[cache.obs_i == a]).mean()
-                           for a in agents]))
+    e_p = float(np.mean([per_edge_p[g].mean() for g in cache.groups]))
+    e_psi = float(np.mean([np.abs(dpsi[g]).mean() for g in cache.groups]))
     return e_f, e_p, e_psi, disp_p, disp_psi
 
 
@@ -373,7 +277,7 @@ def run(scenario: Scenario, run_id: int = 0) -> RunRecord:
     positional series to stay under half the smallest desired inter-agent
     distance; chaotic non-converged runs sit orders of magnitude above it.
     """
-    cache = _EdgeCache(scenario)
+    cache = _EdgeCache(scenario.desired, scenario.graph)
     n = scenario.graph.n
     steps = scenario.horizon_steps
     state = init_state(scenario, run_id)
@@ -389,19 +293,19 @@ def run(scenario: Scenario, run_id: int = 0) -> RunRecord:
     disp_p = np.empty(steps + 1)
     disp_psi = np.empty(steps + 1)
 
-    positions[0] = state.positions
-    headings[0] = state.headings
-    e_f[0], e_p[0], e_psi[0], disp_p[0], disp_psi[0] = \
-        _error_series_entry(state.positions, state.headings, cache)
+    def record(k, state):
+        positions[k] = state.positions
+        headings[k] = state.headings
+        e_f[k], e_p[k], e_psi[k], disp_p[k], disp_psi[k] = \
+            _error_series_entry(state.positions, state.headings, cache)
+        # e_F bounds every residual the summary uses; it overflows first.
+        if not math.isfinite(e_f[k]):
+            raise FloatingPointError(f"non-finite e_F at step {k}")
+
+    record(0, state)
     for k in range(steps):
-        state, u_k, om_k = _step_recorded(state, scenario, cache)
-        positions[k + 1] = state.positions
-        headings[k + 1] = state.headings
-        u_all[k] = u_k
-        omega_all[k] = om_k
-        e_f[k + 1], e_p[k + 1], e_psi[k + 1], disp_p[k + 1], \
-            disp_psi[k + 1] = _error_series_entry(state.positions,
-                                                  state.headings, cache)
+        state, u_all[k], omega_all[k] = _step_recorded(state, scenario, cache)
+        record(k + 1, state)
 
     fiedler = np.full(steps + 1, fiedler_value(scenario.graph)
                       if n >= 2 else 0.0)
@@ -491,40 +395,23 @@ def builtin_scenarios(controller: ControllerConfig | None = None,
 # --- parameter sweep ----------------------------------------------------------
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RIGIDFLOCK_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError:
-        val = 0
-    return val if val > 0 else (os.cpu_count() or 1)
-
-
 def sweep(scenario: Scenario, rates, ells, n_seeds: int) -> list:
     """Grid run over (rate, ell, seed); returns one summary row per cell.
 
     Seeds offset the scenario seed, so every (rate, ell) pair at a given
-    seed shares initial conditions and noise realizations. Cells run on a
-    thread pool sized by RIGIDFLOCK_THREADS (0 = auto); row order is fixed
-    regardless of scheduling.
+    seed shares initial conditions and noise realizations. Rows follow the
+    grid order: rate, then ell, then seed.
     """
-    cells = [(f_hz, ell, s) for f_hz in rates for ell in ells
-             for s in range(n_seeds)]
-
-    def one(cell):
-        f_hz, ell, s = cell
-        scen = replace(
-            scenario,
-            controller=replace(scenario.controller, ell=ell),
-            sensor=replace(scenario.sensor, rate_hz=f_hz),
-            seed=scenario.seed + s)
-        rec = run(scen)
-        row = {"rate_hz": f_hz, "ell": ell, "seed": scen.seed}
-        row.update(rec.summary)
-        return row
-
-    workers = _worker_count()
-    if workers == 1:
-        return [one(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, cells))
+    rows = []
+    for f_hz in rates:
+        for ell in ells:
+            for s in range(n_seeds):
+                scen = replace(
+                    scenario,
+                    controller=replace(scenario.controller, ell=ell),
+                    sensor=replace(scenario.sensor, rate_hz=f_hz),
+                    seed=scenario.seed + s)
+                row = {"rate_hz": f_hz, "ell": ell, "seed": scen.seed}
+                row.update(run(scen).summary)
+                rows.append(row)
+    return rows

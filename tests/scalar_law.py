@@ -1,0 +1,162 @@
+"""Scalar reference form of the restrained control law, one edge at a time.
+
+The package evaluates the law only through the array kernel
+``rigidflock.control.edge_terms``. This module keeps the term-by-term scalar
+construction of the same law (setpoints, Gaussian surrogate, bearing
+rotation, dead-zone clamps) as an independent oracle: the hand-value tests
+pin it, and the property tests compare the kernel against it.
+"""
+
+import math
+
+import numpy as np
+
+from rigidflock.control import (DELTA, DesiredRelativePose, NoisyRelativePose,
+                                clamp_dz)
+from rigidflock.core import rotz, std_normal_quantile, wrap_angle
+
+
+def _sign(x: float) -> float:
+    # sign(0) := 0 so dead-center inputs produce a zero offset.
+    return math.copysign(1.0, x) if x != 0.0 else 0.0
+
+
+def _tau_psi1(p_d: np.ndarray, p_m: np.ndarray) -> float:
+    """Bearing-coupled heading term p_d^T S^T p_m (z cross product)."""
+    return p_d[0] * p_m[1] - p_d[1] * p_m[0]
+
+
+def setpoint_p1(meas: NoisyRelativePose, des: DesiredRelativePose,
+                ell: float) -> np.ndarray:
+    """Restrained target for the direct position term.
+
+    The position error is reduced to a 1D Gaussian along the line from the
+    desired to the measured relative position (Mahalanobis reduction), and
+    the setpoint backs off from the measurement mean by sigma * Phi^-1(ell)
+    along that line. Coincident measured and desired positions return the
+    measurement itself.
+    """
+    diff = meas.p_m - des.p_d
+    if not np.any(diff):
+        return meas.p_m.copy()
+    m2 = float(diff @ np.linalg.solve(meas.cov_p, diff))
+    return meas.p_m + diff / math.sqrt(m2) * std_normal_quantile(ell)
+
+
+def approx_rotated_desired(meas: NoisyRelativePose, des: DesiredRelativePose):
+    """Gaussian surrogate for the heading-rotated desired position.
+
+    Rotating the desired relative position by a noisy heading difference
+    yields a banana-shaped distribution on a horizontal circle. It is
+    replaced by a Gaussian whose mean pulls the horizontal part inward by
+    cos(sigma_psi) and whose covariance has radial, tangential and vertical
+    eigenvalues r^2 * [(1 - cos s)^2, sin^2 s, DELTA^2], with s clipped to
+    pi/2. Returns (mean, covariance). A desired position on the vertical
+    axis has no tangent direction; the covariance falls back to DELTA^2 * I.
+    """
+    dpsi = wrap_angle(meas.psi_m - des.psi_d)
+    p_dr = rotz(dpsi) @ des.p_d
+    sigma_psi = math.sqrt(meas.var_psi)
+    p_hat = p_dr.copy()
+    p_hat[:2] *= math.cos(sigma_psi)
+
+    r = math.hypot(p_dr[0], p_dr[1])
+    if r == 0.0:
+        return p_hat, DELTA ** 2 * np.eye(3)
+    s_c = min(sigma_psi, 0.5 * math.pi)
+    radial = np.array([p_dr[0] / r, p_dr[1] / r, 0.0])
+    tangent = np.array([-radial[1], radial[0], 0.0])
+    vertical = np.array([0.0, 0.0, 1.0])
+    lam = r * r * np.array([(1.0 - math.cos(s_c)) ** 2,
+                            math.sin(s_c) ** 2,
+                            DELTA ** 2])
+    cov_t = (lam[0] * np.outer(radial, radial)
+             + lam[1] * np.outer(tangent, tangent)
+             + lam[2] * np.outer(vertical, vertical))
+    return p_hat, cov_t
+
+
+def setpoint_p2(meas: NoisyRelativePose, des: DesiredRelativePose,
+                ell: float) -> np.ndarray:
+    """Restrained target for the rotation-compensated position term.
+
+    Same construction as ``setpoint_p1`` but measured against the Gaussian
+    surrogate of the rotated desired position, under the combined covariance
+    of measurement and surrogate.
+    """
+    p_hat, cov_t = approx_rotated_desired(meas, des)
+    diff = meas.p_m - p_hat
+    if not np.any(diff):
+        return meas.p_m.copy()
+    cov_c = meas.cov_p + cov_t
+    m2 = float(diff @ np.linalg.solve(cov_c, diff))
+    return meas.p_m + diff / math.sqrt(m2) * std_normal_quantile(ell)
+
+
+def bearing_sigma(meas: NoisyRelativePose) -> float:
+    """Approximate bearing standard deviation of a position measurement.
+
+    The position covariance is rotated so the bearing axis aligns with x;
+    the (2,2) element then holds the horizontal-tangential variance, and its
+    square root over the measurement range approximates the angular spread.
+    Valid when the range is large against the covariance axes.
+    """
+    norm = float(np.linalg.norm(meas.p_m))
+    if norm == 0.0:
+        raise ValueError("bearing of a zero-length measurement is undefined")
+    beta = math.atan2(meas.p_m[1], meas.p_m[0])
+    rot = rotz(-beta)
+    c_r = rot @ meas.cov_p @ rot.T
+    return math.sqrt(max(c_r[1, 1], 0.0)) / norm
+
+
+def restrained_bearing_term(meas: NoisyRelativePose, des: DesiredRelativePose,
+                            ell: float) -> float:
+    """Pre-clamp replacement of the bearing-coupled heading term.
+
+    The measured position is rotated horizontally toward the desired bearing
+    by sigma_beta * |Phi^-1(ell)| (never past it; if the rotation overshoots,
+    the sign flip makes the clamp zero the term). Degenerate horizontal
+    projections contribute zero.
+    """
+    r_d = math.hypot(des.p_d[0], des.p_d[1])
+    r_m = math.hypot(meas.p_m[0], meas.p_m[1])
+    if r_d == 0.0 or r_m == 0.0:
+        return 0.0
+    zeta_d = math.atan2(des.p_d[1], des.p_d[0])
+    zeta_m = math.atan2(meas.p_m[1], meas.p_m[0])
+    sign = _sign(wrap_angle(zeta_d - zeta_m))
+    theta = sign * bearing_sigma(meas) * (-std_normal_quantile(ell))
+    return _tau_psi1(des.p_d, rotz(theta) @ meas.p_m)
+
+
+def setpoint_psi2(meas: NoisyRelativePose, des: DesiredRelativePose,
+                  ell: float) -> float:
+    """Restrained target heading for the heading-consensus term."""
+    err = wrap_angle(meas.psi_m - des.psi_d)
+    offset = math.sqrt(meas.var_psi) * _sign(err) * std_normal_quantile(ell)
+    return wrap_angle(meas.psi_m + offset)
+
+
+def restrained_edge_terms(meas: NoisyRelativePose, des: DesiredRelativePose,
+                          ell: float):
+    """(position term, heading term) of one edge, before gain and cap.
+
+    Each term is clamped against its raw proportional counterpart. At
+    ell = 0.5 the quantile vanishes and the rotated-desired term keeps its
+    raw anchor.
+    """
+    a1 = meas.p_m - des.p_d
+    term1 = clamp_dz(setpoint_p1(meas, des, ell) - des.p_d, a1)
+    if std_normal_quantile(ell) == 0.0:
+        dpsi = wrap_angle(meas.psi_m - des.psi_d)
+        term2 = meas.p_m - rotz(dpsi) @ des.p_d
+    else:
+        p_hat, _ = approx_rotated_desired(meas, des)
+        term2 = clamp_dz(setpoint_p2(meas, des, ell) - p_hat,
+                         meas.p_m - p_hat)
+    raw = _tau_psi1(des.p_d, meas.p_m)
+    term3 = clamp_dz(restrained_bearing_term(meas, des, ell), raw)
+    a4 = wrap_angle(meas.psi_m - des.psi_d)
+    y4 = wrap_angle(setpoint_psi2(meas, des, ell) - des.psi_d)
+    return term1 + term2, term3 + 2.0 * clamp_dz(y4, a4)

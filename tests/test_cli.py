@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from rigidflock.cli import (canonical_json, config_hash, main,
+from rigidflock import cli
+from rigidflock.cli import (_parse_rates, canonical_json, config_hash, main,
                             parse_scenario, scenario_from_dict,
                             scenario_to_dict)
 from rigidflock.sim import ScenarioError, builtin_scenarios
@@ -217,3 +219,42 @@ def test_csv_numbers_are_full_precision(tmp_path):
     e_f = float(row[2])
     # round-trips through the text exactly
     assert format(e_f, ".17g") == row[2]
+
+
+def test_rates_colon_spec_rejects_nonpositive_step():
+    assert _parse_rates("10:30:10") == [10.0, 20.0, 30.0]
+    for spec in ("10:30:0", "10:30:-5"):
+        with pytest.raises(ValueError, match="--rates"):
+            _parse_rates(spec)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"init_radius": 1e308},  # relative positions overflow at the start
+    {"agents": [{"p": [0.0, 0.0, 0.0]}, {"p": [1e200, 0.0, 0.0]}],
+     "controller": {"ell": 0.2}},  # the squared residual overflows e_F
+])
+def test_numerical_overflow_exits_1_and_names_step(tmp_path, capsys,
+                                                   overrides):
+    scen_file = tmp_path / "scen.json"
+    scen_file.write_text(json.dumps(dict(MINIMAL, horizon_steps=20,
+                                         **overrides)))
+    with np.errstate(all="ignore"):
+        rc = main(["sim4d", "--scenario", str(scen_file), "--out",
+                   str(tmp_path / "run.csv"), "--summary",
+                   str(tmp_path / "summary.json")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FloatingPointError"
+    assert "e_F at step 0" in err["message"]
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
+    def singular(scenario):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run", singular)
+    rc = main(["sim4d", "--scenario", "builtin:pair", "--out",
+               str(tmp_path / "run.csv")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"

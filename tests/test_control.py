@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from rigidflock.control import (ControllerConfig, DELTA, DesiredRelativePose,
-                                NoisyRelativePose, approx_rotated_desired,
-                                bearing_sigma, clamp_dz, proportional_command,
-                                restrained_bearing_term, restrained_command,
-                                setpoint_p1, setpoint_p2, setpoint_psi2,
-                                _tau_psi1)
-from rigidflock.core import (mahalanobis_sigma, rotz, std_normal_quantile,
-                             symmetric_eigen, wrap_angle)
+                                NoisyRelativePose, clamp_dz,
+                                proportional_command, restrained_command)
+from rigidflock.core import rotz, std_normal_quantile, wrap_angle
 from rigidflock.sensors import SensorSpec, covariance_for
+from scalar_law import (_tau_psi1, approx_rotated_desired, bearing_sigma,
+                        restrained_bearing_term, setpoint_p1, setpoint_p2,
+                        setpoint_psi2)
 
 Q03 = std_normal_quantile(0.3)  # about -0.5244
 
@@ -145,7 +144,7 @@ def test_approx_rotated_desired_zero_heading_noise():
     des = _des([5.0, 0.0, 0.0], psi_d=0.0)
     p_hat, cov_t = approx_rotated_desired(meas, des)
     assert np.allclose(p_hat, rotz(0.4) @ des.p_d, atol=1e-12)
-    evals, _ = symmetric_eigen(cov_t)
+    evals = np.linalg.eigvalsh(cov_t)
     assert evals.max() <= (5.0 * DELTA) ** 2 * (1 + 1e-9)
 
 
@@ -153,7 +152,7 @@ def test_approx_rotated_desired_right_angle_noise():
     meas = _meas([0.0, 0.0, 0.0], psi_m=0.0, var_psi=(math.pi / 2) ** 2)
     des = _des([2.0, 0.0, 0.0], psi_d=0.0)
     _, cov_t = approx_rotated_desired(meas, des)
-    evals, _ = symmetric_eigen(cov_t)
+    evals = np.linalg.eigvalsh(cov_t)
     # radial (1 - cos)^2 = 1 and tangential sin^2 = 1, both scaled by r^2
     assert sorted(evals)[-2:] == pytest.approx([4.0, 4.0], rel=1e-9)
 
@@ -163,7 +162,7 @@ def test_approx_rotated_desired_example_026():
     des = _des([5.0, 0.0, 0.0], psi_d=0.0)
     p_hat, cov_t = approx_rotated_desired(meas, des)
     assert np.allclose(p_hat, [5.0 * math.cos(0.26), 0.0, 0.0], atol=1e-12)
-    evals, vecs = symmetric_eigen(cov_t)
+    evals, vecs = np.linalg.eigh(cov_t)
     want = sorted([25.0 * (1 - math.cos(0.26)) ** 2,
                    25.0 * math.sin(0.26) ** 2,
                    25.0 * DELTA ** 2])
@@ -205,12 +204,10 @@ def test_setpoint_p2_mahalanobis_identity():
         p_hat, cov_t = approx_rotated_desired(meas, des)
         s = setpoint_p2(meas, des, ell)
         cov_c = meas.cov_p + cov_t
-        m = mahalanobis_sigma(s - meas.p_m, cov_c)
-        # the offset's Mahalanobis norm is |quantile|, so sigma-ratio is 1
+        # the offset's Mahalanobis norm is |quantile|
         offset = s - meas.p_m
         mah = math.sqrt(offset @ np.linalg.solve(cov_c, offset))
         assert mah == pytest.approx(abs(std_normal_quantile(ell)), rel=1e-9)
-        assert m > 0
 
 
 # --- bearing -------------------------------------------------------------

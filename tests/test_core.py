@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rigidflock.core import (AgentPose, ensure_covariance3, mahalanobis_sigma,
-                             relative_pose, rotz, rotz_deriv, std_normal_cdf,
-                             std_normal_quantile, symmetric_eigen, wrap_angle)
+from rigidflock.core import (AgentPose, ensure_covariance3, relative_pose, rotz,
+                             rotz_deriv, std_normal_cdf, std_normal_quantile,
+                             wrap_angle)
 
 TAU = 2 * math.pi
 
@@ -126,74 +126,6 @@ def test_cdf_quantile_round_trip():
                              [1e-6, 1 - 1e-6, 0.5]]):
         x = std_normal_quantile(float(p))
         assert abs(std_normal_cdf(x) - p) <= 1e-9
-
-
-def _inverse3_adjugate(c):
-    # independent explicit 3x3 inverse
-    a, b, d = c[0]
-    e, f, g = c[1]
-    h, i, j = c[2]
-    det = a * (f * j - g * i) - b * (e * j - g * h) + d * (e * i - f * h)
-    adj = np.array([
-        [f * j - g * i, d * i - b * j, b * g - d * f],
-        [g * h - e * j, a * j - d * h, d * e - a * g],
-        [e * i - f * h, b * h - a * i, a * f - b * e],
-    ])
-    return adj / det
-
-
-def test_mahalanobis_sigma_examples():
-    assert mahalanobis_sigma([1, 0, 0], np.eye(3)) == pytest.approx(1.0)
-    assert mahalanobis_sigma([2, 0, 0], np.diag([4.0, 1, 1])) \
-        == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        mahalanobis_sigma([0, 0, 0], np.eye(3))
-
-
-def test_mahalanobis_sigma_against_adjugate_inverse():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        a = rng.uniform(-1, 1, (3, 3))
-        c = a @ a.T + 0.3 * np.eye(3)
-        v = rng.uniform(-2, 2, 3)
-        if np.linalg.norm(v) < 1e-6:
-            v[0] += 1.0
-        expect = np.linalg.norm(v) / math.sqrt(v @ _inverse3_adjugate(c) @ v)
-        got = mahalanobis_sigma(v, c)
-        assert got == pytest.approx(expect, rel=1e-10)
-        assert got > 0
-
-
-def test_symmetric_eigen_examples():
-    evals, vecs = symmetric_eigen(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(evals, [1.0, 2.0, 3.0])
-    evals, _ = symmetric_eigen(np.zeros((4, 4)))
-    assert np.allclose(evals, 0.0)
-    with pytest.raises(ValueError):
-        symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_symmetric_eigen_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(5)
-    for n in (2, 3, 4, 6, 8):
-        for _ in range(20):
-            a = rng.uniform(-3, 3, (n, n))
-            a = 0.5 * (a + a.T)
-            evals, vecs = symmetric_eigen(a)
-            scale = max(np.abs(a).max(), 1e-30)
-            assert np.abs(vecs @ np.diag(evals) @ vecs.T - a).max() \
-                <= 1e-9 * scale
-            assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-9
-            assert np.all(np.diff(evals) >= -1e-12 * scale)
-
-
-def test_symmetric_eigen_bit_stable():
-    rng = np.random.default_rng(6)
-    a = rng.uniform(-1, 1, (5, 5))
-    a = a + a.T
-    e1, v1 = symmetric_eigen(a.copy())
-    e2, v2 = symmetric_eigen(a.copy())
-    assert np.array_equal(e1, e2) and np.array_equal(v1, v2)
 
 
 def test_ensure_covariance3():

@@ -90,7 +90,7 @@ def test_two_agent_zero_noise_contraction_matches_recursion():
     scen = pair_scenario(sensor=quiet_sensor(rate=10.0),
                          controller=ControllerConfig(k_e=0.5, ell=0.5),
                          horizon_steps=30)
-    cache = _EdgeCache(scen)
+    cache = _EdgeCache(scen.desired, scen.graph)
     state = init_state(scen)
     state.positions[:] = [[0.0, 0.0, 0.0], [7.0, 0.0, 0.0]]
     state.headings[:] = 0.0
@@ -134,7 +134,7 @@ def test_se2_invariance_of_error_series():
     base = pair_scenario(horizon_steps=200, seed=7,
                          controller=ControllerConfig(k_e=0.5, ell=0.5),
                          sensor=SensorSpec(rate_hz=20.0))
-    cache = _EdgeCache(base)
+    cache = _EdgeCache(base.desired, base.graph)
 
     def series(transform):
         state = init_state(base)
@@ -160,7 +160,7 @@ def test_se2_invariance_restrained_zero_noise():
     scen = pair_scenario(horizon_steps=150, seed=3,
                          controller=ControllerConfig(k_e=0.5, ell=0.2),
                          sensor=quiet_sensor(rate=20.0))
-    cache = _EdgeCache(scen)
+    cache = _EdgeCache(scen.desired, scen.graph)
 
     def final_error(transform):
         state = init_state(scen)
@@ -230,6 +230,19 @@ def test_sweep_shares_initial_conditions_across_ell():
     assert np.array_equal(s1.headings, s2.headings)
 
 
+def test_sweep_row_equals_single_run_bitwise():
+    # one restrained cell and one ell = 0.5 cell, each against run() alone
+    scen = dataclasses.replace(builtin_scenarios()[1], horizon_steps=60,
+                               seed=4)
+    rows = sweep(scen, rates=[50.0], ells=[0.2, 0.5], n_seeds=1)
+    for row in rows:
+        alone = run(dataclasses.replace(
+            scen, controller=dataclasses.replace(scen.controller,
+                                                 ell=row["ell"]),
+            sensor=dataclasses.replace(scen.sensor, rate_hz=row["rate_hz"])))
+        assert {k: row[k] for k in alone.summary} == alone.summary
+
+
 def test_sweep_row_schema():
     scen = pair_scenario(horizon_steps=40, seed=0)
     rows = sweep(scen, rates=[20.0], ells=[0.5], n_seeds=1)
@@ -288,3 +301,22 @@ def test_coincident_agents_rejected():
     state.positions[:] = 0.0
     with pytest.raises(ArithmeticError):
         step(state, scen)
+
+
+def test_non_finite_measurement_and_state_are_named():
+    # 1e200 m apart the squared range overflows, so the measurement does
+    scen = pair_scenario(sensor=quiet_sensor(), horizon_steps=3)
+    state = init_state(scen)
+    state.positions[:] = [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]
+    with np.errstate(all="ignore"), \
+            pytest.raises(FloatingPointError, match="measurements at step 1"):
+        step(state, scen)
+    # a finite measurement whose bearing cross term overflows to inf - inf
+    far = dataclasses.replace(scen, desired=(
+        AgentPose([0.0, 0.0, 0.0], 0.0), AgentPose([1e155, 1e155, 0.0], 0.0)))
+    state = init_state(far)
+    state.positions[:] = [[0.0, 0.0, 0.0], [7e153, 7e153, 0.0]]
+    state.headings[:] = 0.0
+    with np.errstate(all="ignore"), \
+            pytest.raises(FloatingPointError, match="headings at step 1"):
+        step(state, far)
