@@ -37,7 +37,19 @@ from .sim import Scenario, ScenarioError, builtin_scenarios, run, sweep
 
 
 def _fmt(x) -> str:
+    """A CSV cell: an int exactly, a float in 17 digits (which round-trip,
+    and print an integral float below 1e17 as the integer)."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return format(float(x), ".17g")
+
+
+def _write_table(path, header, table):
+    """A CSV of the header and one line per row of a 2-D array."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row.tolist()] for row in table)
 
 
 def canonical_json(obj) -> str:
@@ -74,53 +86,58 @@ def scenario_to_dict(s: Scenario) -> dict:
         "agents": [{"p": [float(v) for v in a.p], "psi": float(a.psi)}
                    for a in s.desired],
         "edges": [[i, j] for i, j in s.graph.sorted_edges()],
-        "controller": {
-            "k_e": s.controller.k_e,
-            "ell": s.controller.ell,
-            "restraining": s.controller.restraining,
-            "omega_cap": s.controller.omega_cap,
-        },
-        "sensor": {
-            "dist_frac_sigma": s.sensor.dist_frac_sigma,
-            "bearing_sigma": s.sensor.bearing_sigma,
-            "heading_sigma": s.sensor.heading_sigma,
-            "rate_hz": s.sensor.rate_hz,
-        },
+        "controller": dataclasses.asdict(s.controller),
+        "sensor": dataclasses.asdict(s.sensor),
         "init_radius": s.init_radius,
         "horizon_steps": s.horizon_steps,
         "seed": s.seed,
     }
 
 
+def _field(name: str, convert, value):
+    """convert(value); a failure is bad input that names the field."""
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid field {name}: {exc}") from exc
+
+
+# JSON types accepted for each annotated type of a config dataclass field.
+_JSON_TYPES = {"float": (int, float), "int": int, "bool": bool}
+
+
+def _config(cls, data, name: str):
+    """cls(**data) from the JSON object ``name``; errors name the field."""
+    data = _field(name, dict, data)
+    for f in dataclasses.fields(cls):
+        if f.name in data and not isinstance(data[f.name],
+                                             _JSON_TYPES[f.type]):
+            raise ScenarioError(f"invalid field {f.name} in {name}: expected "
+                                f"{f.type}, got {data[f.name]!r}")
+    # An unknown or missing field fails here, and the TypeError names it.
+    return _field(name, lambda fields: cls(**fields), data)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario, naming the offending field on error."""
-    if "agents" not in data:
-        raise ScenarioError("missing field: agents")
-    if "edges" not in data:
-        raise ScenarioError("missing field: edges")
-    try:
-        desired = tuple(AgentPose(np.asarray(a["p"], dtype=float),
-                                  float(a.get("psi", 0.0)))
-                        for a in data["agents"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid field agents: {exc}") from exc
-    try:
-        graph = ObservationGraph.from_pairs(len(desired), data["edges"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid field edges: {exc}") from exc
-    try:
-        controller = ControllerConfig(**data.get("controller", {}))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid field controller: {exc}") from exc
-    try:
-        sensor = SensorSpec(**data.get("sensor", {}))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid field sensor: {exc}") from exc
+    for name in ("agents", "edges"):
+        if name not in data:
+            raise ScenarioError(f"missing field: {name}")
+    desired = _field("agents", lambda agents: tuple(
+        AgentPose(np.asarray(a["p"], dtype=float), float(a.get("psi", 0.0)))
+        for a in agents), data["agents"])
+    graph = _field("edges", lambda edges: ObservationGraph.from_pairs(
+        len(desired), edges), data["edges"])
     return Scenario(
-        desired=desired, graph=graph, controller=controller, sensor=sensor,
-        init_radius=float(data.get("init_radius", 20.0)),
-        horizon_steps=int(data.get("horizon_steps", 2000)),
-        seed=int(data.get("seed", 0)),
+        desired=desired, graph=graph,
+        controller=_config(ControllerConfig, data.get("controller", {}),
+                           "controller"),
+        sensor=_config(SensorSpec, data.get("sensor", {}), "sensor"),
+        init_radius=_field("init_radius", float,
+                           data.get("init_radius", 20.0)),
+        horizon_steps=_field("horizon_steps", int,
+                             data.get("horizon_steps", 2000)),
+        seed=_field("seed", int, data.get("seed", 0)),
         name=str(data.get("name", "scenario")))
 
 
@@ -167,17 +184,16 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sim1d(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
-    restrained = bool(raw.pop("restrained", True))
-    cfg = OneDConfig(**raw)
+        raw = _field("config", dict, json.load(fh))
+    restrained = raw.pop("restrained", True)
+    if not isinstance(restrained, bool):
+        raise ScenarioError(f"invalid field restrained: expected bool, got "
+                            f"{restrained!r}")
+    cfg = _config(OneDConfig, raw, "config")
     trace = run_1d_ensemble(cfg, restrained=restrained)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean_abs_dd", "sigma_a", "mean_abs_dv"])
-        for k in range(cfg.horizon):
-            writer.writerow([k, _fmt(trace.mean_abs_dd[k]),
-                             _fmt(trace.sigma_a[k]),
-                             _fmt(trace.mean_abs_dv[k])])
+    _write_table(args.out, ["step", "mean_abs_dd", "sigma_a", "mean_abs_dv"],
+                 np.column_stack([np.arange(cfg.horizon), trace.mean_abs_dd,
+                                  trace.sigma_a, trace.mean_abs_dv]))
     metrics = convergence_metrics_1d(trace.mean_abs_dd, 0.0, cfg.f,
                                      debug=True)
     payload = {
@@ -202,9 +218,6 @@ def _cmd_sim1d(args) -> int:
     return 0
 
 
-_RUN_STATIC_COLS = ["step", "time_s", "e_F", "e_p", "e_psi", "fiedler"]
-
-
 def _cmd_sim4d(args) -> int:
     scen = parse_scenario(args.scenario)
     if args.seed is not None:
@@ -212,30 +225,19 @@ def _cmd_sim4d(args) -> int:
     rec = run(scen)
     n = scen.graph.n
     dt = 1.0 / scen.sensor.rate_hz
-    cols = list(_RUN_STATIC_COLS)
+    cols = ["step", "time_s", "e_F", "e_p", "e_psi", "fiedler"]
     for a in range(n):
         cols += [f"p{a}_x", f"p{a}_y", f"p{a}_z", f"psi{a}"]
     for a in range(n):
         cols += [f"u{a}_x", f"u{a}_y", f"u{a}_z", f"omega{a}"]
-    steps = scen.horizon_steps
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for k in range(steps + 1):
-            row = [k, _fmt(k * dt), _fmt(rec.e_f[k]), _fmt(rec.e_p[k]),
-                   _fmt(rec.e_psi[k]), _fmt(rec.fiedler[k])]
-            for a in range(n):
-                row += [_fmt(rec.positions[k, a, 0]),
-                        _fmt(rec.positions[k, a, 1]),
-                        _fmt(rec.positions[k, a, 2]),
-                        _fmt(rec.headings[k, a])]
-            for a in range(n):
-                if k < steps:
-                    row += [_fmt(rec.u[k, a, 0]), _fmt(rec.u[k, a, 1]),
-                            _fmt(rec.u[k, a, 2]), _fmt(rec.omega[k, a])]
-                else:
-                    row += ["nan"] * 4
-            writer.writerow(row)
+    k = np.arange(scen.horizon_steps + 1)
+    poses = np.dstack([rec.positions, rec.headings])
+    # No command follows the last state: its command cells are nan.
+    commands = np.vstack([np.dstack([rec.u, rec.omega]),
+                          np.full((1, n, 4), np.nan)])
+    _write_table(args.out, cols, np.column_stack([
+        k, k * dt, rec.e_f, rec.e_p, rec.e_psi, rec.fiedler,
+        poses.reshape(k.size, -1), commands.reshape(k.size, -1)]))
     outputs = [args.out]
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -261,23 +263,20 @@ def _parse_rates(text: str):
 
 def _cmd_sweep(args) -> int:
     scen = parse_scenario(args.scenario)
-    rates = _parse_rates(args.rates)
-    ells = [float(v) for v in args.ells.split(",") if v]
+    rates = _field("--rates", _parse_rates, args.rates)
+    ells = _field("--ells", lambda text: [float(v) for v in text.split(",")
+                                          if v], args.ells)
+    for option, empty in (("--rates", not rates), ("--ells", not ells),
+                          ("--seeds", args.seeds < 1)):
+        if empty:
+            raise ValueError(f"{option} gives an empty grid")
     rows = sweep(scen, rates, ells, args.seeds)
     header = ["rate_hz", "ell", "seed", "t_cp", "t_cpsi", "sigma_tp",
               "sigma_tpsi", "mean_dv", "mean_domega", "a_p", "v_psi",
               "stable_rms_p", "converged"]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                _fmt(row["rate_hz"]), _fmt(row["ell"]), row["seed"],
-                _fmt(row["t_cp"]), _fmt(row["t_cpsi"]),
-                _fmt(row["sigma_tp"]), _fmt(row["sigma_tpsi"]),
-                _fmt(row["mean_dv"]), _fmt(row["mean_domega"]),
-                _fmt(row["a_p"]), _fmt(row["v_psi"]),
-                _fmt(row["stable_rms_p"]), int(row["converged"])])
+    # An object table keeps the seeds Python ints, exact at any size.
+    _write_table(args.out, header, np.array(
+        [[row[c] for c in header] for row in rows], dtype=object))
     write_manifest(args.out, {**scenario_to_dict(scen),
                               "rates": rates, "ells": ells,
                               "seeds": args.seeds}, scen.seed, [args.out])
@@ -285,6 +284,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     scen = parse_scenario(args.scenario)
     m_desired = m_matrix(scen.desired, scen.graph)
     pd_ok, minors = is_positive_definite_minors(m_desired)
@@ -305,9 +306,8 @@ def _cmd_audit(args) -> int:
         "desired_pd": pd_ok,
         "desired_minors": minors,
         "samples": args.samples,
-        "gradient_residual_max": max(residuals) if residuals else None,
-        "pd_fraction_random_poses": (float(np.mean(pd_flags))
-                                     if pd_flags else None),
+        "gradient_residual_max": max(residuals),
+        "pd_fraction_random_poses": float(np.mean(pd_flags)),
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -361,7 +361,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow is reported by the finiteness checks that name it, not
+        # by numpy warnings ahead of the JSON error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     # Numerical failures first: LinAlgError subclasses ValueError.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ensure_covariance3, std_normal_quantile, wrap_angle
+from .core import (ensure_covariance3, rotate_z, std_normal_quantile,
+                   wrap_angle)
 
 # Floor used wherever a covariance eigenvalue must stay positive (m^2 scale
 # 1e-8), far below any realistic sensor noise and far above double rounding.
@@ -127,10 +128,7 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     (scalar or (E,)) of the measurements.
     """
     dpsi = wrap_angle(psi_m - psi_d)
-    cm, sm = np.cos(dpsi), np.sin(dpsi)
-    p_dr = np.stack([cm * p_d[:, 0] - sm * p_d[:, 1],
-                     sm * p_d[:, 0] + cm * p_d[:, 1],
-                     p_d[:, 2]], axis=1)
+    p_dr = rotate_z(p_d, dpsi)
     raw_bearing = p_d[:, 0] * p_m[:, 1] - p_d[:, 1] * p_m[:, 0]
     if q is None:
         return (p_m - p_d) + (p_m - p_dr), raw_bearing + 2.0 * dpsi
@@ -192,9 +190,8 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     zeta_d = np.arctan2(p_d[:, 1], p_d[:, 0])
     zeta_m = np.arctan2(p_m[:, 1], p_m[:, 0])
     theta = np.sign(wrap_angle(zeta_d - zeta_m)) * turn
-    ct, st = np.cos(theta), np.sin(theta)
-    y3 = (p_d[:, 0] * (st * p_m[:, 0] + ct * p_m[:, 1])
-          - p_d[:, 1] * (ct * p_m[:, 0] - st * p_m[:, 1]))
+    p_turn = rotate_z(p_m, theta)
+    y3 = p_d[:, 0] * p_turn[:, 1] - p_d[:, 1] * p_turn[:, 0]
 
     # Heading-consensus term; sign(0) = 0 keeps a dead-center error at zero.
     y4 = wrap_angle(dpsi + sigma_psi * np.sign(dpsi) * q)

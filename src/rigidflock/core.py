@@ -1,8 +1,9 @@
 """Shared geometric and statistical primitives.
 
 Wrapped angles on the half-open interval (-pi, pi], planar z-axis rotations,
-agent/relative pose containers, covariance validation, and the standard
-normal CDF and its inverse. Everything here is pure and stateless.
+agent/relative pose containers, the stacked relative-pose map, covariance
+validation, and the standard normal CDF and its inverse. Everything here is
+pure and stateless.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def wrap_angle(theta):
     if not np.all(np.isfinite(arr)):
         raise ValueError("angle array must be finite")
     return math.pi - np.mod(math.pi - arr, TAU)
+
+
+def rotate_z(v, psi):
+    """Rotate (..., 3) vectors about the z axis by angles psi (...)."""
+    v = np.asarray(v, dtype=float)
+    c, s = np.cos(psi), np.sin(psi)
+    x = c * v[..., 0] - s * v[..., 1]
+    y = s * v[..., 0] + c * v[..., 1]
+    return np.stack([x, y, np.broadcast_to(v[..., 2], x.shape)], axis=-1)
 
 
 def rotz(psi: float) -> np.ndarray:
@@ -86,13 +96,32 @@ class RelativePose:
         object.__setattr__(self, "psi_rel", wrap_angle(self.psi_rel))
 
 
-def relative_pose(q_i: AgentPose, q_j: AgentPose) -> RelativePose:
-    """Relative pose of agent j as seen from agent i.
+def pose_arrays(poses):
+    """(N, 3) positions and (N,) headings of a sequence of AgentPose."""
+    return (np.array([q.p for q in poses], dtype=float).reshape(-1, 3),
+            np.array([q.psi for q in poses], dtype=float))
 
-    p_rel = R(psi_i)^T (p_j - p_i), psi_rel = wrap(psi_j - psi_i).
+
+def relative_poses(positions, headings, obs_i, obs_j):
+    """The stacked relative-pose map kappa: agent obs_j[e] seen from obs_i[e].
+
+    positions (..., N, 3) and headings (..., N) are world poses; leading
+    axes broadcast, so one call covers a whole state history. Returns
+    p_rel (..., E, 3) = R(psi_i)^T (p_j - p_i) and psi_rel (..., E) =
+    wrap(psi_j - psi_i).
     """
-    p_rel = rotz(q_i.psi).T @ (q_j.p - q_i.p)
-    return RelativePose(p_rel, wrap_angle(q_j.psi - q_i.psi))
+    positions = np.asarray(positions, dtype=float)
+    headings = np.asarray(headings, dtype=float)
+    psi_i = headings[..., obs_i]
+    p_rel = rotate_z(positions[..., obs_j, :] - positions[..., obs_i, :],
+                     -psi_i)
+    return p_rel, wrap_angle(headings[..., obs_j] - psi_i)
+
+
+def relative_pose(q_i: AgentPose, q_j: AgentPose) -> RelativePose:
+    """Relative pose of agent j as seen from agent i (one edge of kappa)."""
+    p_rel, psi_rel = relative_poses(*pose_arrays((q_i, q_j)), [0], [1])
+    return RelativePose(p_rel[0], psi_rel[0])
 
 
 def ensure_covariance3(mat, tol: float = 1e-12) -> np.ndarray:

@@ -44,6 +44,10 @@ class ObservationGraph:
         """Edges in lexicographic order; the canonical stacking order."""
         return sorted(self.edges)
 
+    def edge_index(self):
+        """(observer, observed) index arrays over the sorted edges."""
+        return np.array(self.sorted_edges(), dtype=int).reshape(-1, 2).T
+
     def undirected_edges(self) -> set:
         return {(min(i, j), max(i, j)) for i, j in self.edges}
 

@@ -367,18 +367,6 @@ def run_1d_two_agents(cfg: OneDConfig, delta0: float | None = None
 # --- convergence metrics ------------------------------------------------------
 
 
-def _suffix_moments(dev: np.ndarray):
-    """Reverse-cumulative RMS and spread of a deviation series (axis 0)."""
-    rev2 = np.cumsum(dev[::-1] ** 2, axis=0)[::-1]
-    rev1 = np.cumsum(dev[::-1], axis=0)[::-1]
-    count = np.arange(dev.shape[0], 0, -1, dtype=float)
-    count = count.reshape((-1,) + (1,) * (dev.ndim - 1))
-    mean = rev1 / count
-    rms = np.sqrt(rev2 / count)
-    var = np.maximum(rev2 / count - mean ** 2, 0.0)
-    return rms, np.sqrt(var)
-
-
 def convergence_metrics_1d(history, d: float, f: float, debug: bool = False):
     """(t_c, sigma_t, mean_dv) of one recorded state history.
 
@@ -400,7 +388,10 @@ def convergence_metrics_1d(history, d: float, f: float, debug: bool = False):
     if size < 10:
         raise ValueError("need a history of at least 10 samples")
     dev = x - d
-    rms, std_mean = _suffix_moments(dev)
+    # Suffix RMS about the target, from reverse cumulative sums of squares.
+    count = np.arange(size, 0, -1, dtype=float).reshape(
+        (size,) + (1,) * (x.ndim - 1))
+    rms = np.sqrt(np.cumsum(dev[::-1] ** 2, axis=0)[::-1] / count)
     inside = np.abs(dev) <= 3.0 * rms
     converged = inside.any(axis=0)
     k_c = np.where(converged, np.argmax(inside, axis=0), size - 1)
@@ -417,18 +408,11 @@ def convergence_metrics_1d(history, d: float, f: float, debug: bool = False):
     # Literal band-exit reading of the convergence index, for comparison.
     exits = np.abs(dev[:-1]) > 3.0 * rms[1:]
     k_literal = np.where(exits.any(axis=0), np.argmax(exits, axis=0) + 1, 0)
-
-    def at_kc(series):
-        return series.reshape(size, -1)[k_c.ravel(), np.arange(runs.shape[1])
-                                        ].reshape(k_c.shape)
-
     return {
         "t_c": out(k_c / f), "sigma_t": out(sigma_t),
         "mean_dv": out(mean_dv),
         "k_c": out(k_c), "converged": out(converged),
         "k_c_literal": out(k_literal),
-        "sigma_fin_rms_at_kc": out(at_kc(rms)),
-        "sigma_fin_std_at_kc": out(at_kc(std_mean)),
     }
 
 

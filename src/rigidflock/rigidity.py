@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SKEW_Z, relative_pose, rotz, rotz_deriv, wrap_angle
+from .core import (SKEW_Z, RelativePose, pose_arrays, relative_poses,
+                   rotate_z, rotz, rotz_deriv, wrap_angle)
 from .graphs import ObservationGraph
 
 
@@ -29,23 +30,24 @@ class RigidityMatrix:
     edges: tuple
 
 
+def _kappa(poses, graph: ObservationGraph):
+    """Relative poses (E, 3), (E,) of a pose sequence over sorted edges."""
+    return relative_poses(*pose_arrays(poses), *graph.edge_index())
+
+
 def kappa_stack(poses, graph: ObservationGraph) -> np.ndarray:
     """Stacked relative poses [p_ij; psi_ij] over sorted edges."""
-    out = np.empty(4 * len(graph.edges))
-    for band, (i, j) in enumerate(graph.sorted_edges()):
-        rel = relative_pose(poses[i], poses[j])
-        out[4 * band:4 * band + 3] = rel.p_rel
-        out[4 * band + 3] = rel.psi_rel
-    return out
+    p_rel, psi_rel = _kappa(poses, graph)
+    return np.column_stack([p_rel, psi_rel]).ravel()
 
 
 def formation_error_stack(poses, desired, graph: ObservationGraph
                           ) -> np.ndarray:
     """Stacked error kappa(desired) - kappa(current), headings wrapped."""
-    err = kappa_stack(desired, graph) - kappa_stack(poses, graph)
-    for band in range(len(graph.edges)):
-        err[4 * band + 3] = wrap_angle(err[4 * band + 3])
-    return err
+    err = (kappa_stack(desired, graph) - kappa_stack(poses, graph)
+           ).reshape(-1, 4)
+    err[:, 3] = wrap_angle(err[:, 3])
+    return err.ravel()
 
 
 def rigidity_world(poses, graph: ObservationGraph) -> RigidityMatrix:
@@ -56,15 +58,12 @@ def rigidity_world(poses, graph: ObservationGraph) -> RigidityMatrix:
     """
     edges = tuple(graph.sorted_edges())
     h = np.zeros((4 * len(edges), 4 * graph.n))
-    for band, (i, j) in enumerate(edges):
+    for band, edge in enumerate(edges):
         r = 4 * band
-        rot_t = rotz(poses[i].psi).T
-        h[r:r + 3, 4 * i:4 * i + 3] = -rot_t
-        h[r:r + 3, 4 * i + 3] = rotz_deriv(poses[i].psi).T @ (poses[j].p
-                                                              - poses[i].p)
-        h[r:r + 3, 4 * j:4 * j + 3] = rot_t
-        h[r + 3, 4 * i + 3] = -1.0
-        h[r + 3, 4 * j + 3] = 1.0
+        for v, (pos, w, hv) in _edge_vertex_blocks(edge, poses).items():
+            h[r:r + 3, 4 * v:4 * v + 3] = pos
+            h[r:r + 3, 4 * v + 3] = w
+            h[r + 3, 4 * v + 3] = hv
     return RigidityMatrix(h, edges)
 
 
@@ -91,8 +90,9 @@ def rigidity_local(relative_poses, graph: ObservationGraph) -> RigidityMatrix:
 
 def observed_relative_poses(poses, graph: ObservationGraph) -> dict:
     """Noiseless relative pose of every directed edge."""
-    return {(i, j): relative_pose(poses[i], poses[j])
-            for i, j in graph.sorted_edges()}
+    p_rel, psi_rel = _kappa(poses, graph)
+    return {edge: RelativePose(p_rel[e], psi_rel[e])
+            for e, edge in enumerate(graph.sorted_edges())}
 
 
 def stacked_local_action(poses, desired, graph: ObservationGraph,
@@ -113,17 +113,15 @@ def fec_raw_commands(poses, desired, graph: ObservationGraph,
     error with the sign of each endpoint. Returns (N, 4) rows
     [u_i, omega_i] in body frames.
     """
-    rel = observed_relative_poses(poses, graph)
-    rel_d = observed_relative_poses(desired, graph)
+    obs_i, obs_j = graph.edge_index()
+    p_ij, psi_ij = _kappa(poses, graph)
+    p_d, psi_d = _kappa(desired, graph)
+    dp = p_ij - p_d
+    dpsi = wrap_angle(psi_ij - psi_d)
     out = np.zeros((graph.n, 4))
-    for (i, j) in graph.sorted_edges():
-        dp = rel[(i, j)].p_rel - rel_d[(i, j)].p_rel
-        dpsi = wrap_angle(rel[(i, j)].psi_rel - rel_d[(i, j)].psi_rel)
-        p_ij = rel[(i, j)].p_rel
-        out[i, :3] += dp
-        out[i, 3] += -p_ij @ (SKEW_Z @ dp) + dpsi
-        out[j, :3] -= rotz(rel[(i, j)].psi_rel).T @ dp
-        out[j, 3] -= dpsi
+    np.add.at(out, obs_i, np.column_stack([
+        dp, -np.einsum("ei,ij,ej->e", p_ij, SKEW_Z, dp) + dpsi]))
+    np.add.at(out, obs_j, -np.column_stack([rotate_z(dp, -psi_ij), dpsi]))
     return k_e * out
 
 

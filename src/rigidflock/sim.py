@@ -5,10 +5,14 @@ a command from the latest measurements, then fly straight and rotate at a
 constant rate until the next sample. Ground truth is kept by the simulator
 and used only for error metrics, never by the controllers.
 
-Each step evaluates the control law once over all edges through
-``control.edge_terms``, the kernel behind the per-agent commands too; a
-property test checks it against an independent scalar form of the law. One
-(scenario, seed) pair always reproduces the same run bit for bit.
+Each step maps the true poses to relative poses once over all edges with
+``core.relative_poses`` and evaluates the control law once over all edges
+through ``control.edge_terms``, the kernel behind the per-agent commands
+too; a property test checks it against an independent scalar form of the
+law. The error series (e_F, e_p, e_psi) is computed after the run, in one
+vectorized pass of the same relative-pose map over the recorded ground-truth
+history. One (scenario, seed) pair always reproduces the same run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import ControllerConfig, edge_terms
-from .core import AgentPose, relative_pose, wrap_angle
+from .core import (AgentPose, pose_arrays, relative_poses, rotate_z,
+                   wrap_angle)
 from .graphs import ObservationGraph, count_passive_sinks, fiedler_value, \
     is_connected, remove_random_edges_keep_connected
 from .oned import convergence_metrics_1d
@@ -69,6 +74,8 @@ class Scenario:
             problems.append("init_radius must be >= 0")
         if self.horizon_steps < 0:
             problems.append("horizon_steps must be >= 0")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if problems:
             raise ScenarioError("; ".join(problems))
 
@@ -108,10 +115,9 @@ def formation_error(poses, desired, graph: ObservationGraph):
     """
     if not graph.edges:
         raise ValueError("graph has no edges")
-    positions = np.array([q.p for q in poses])
-    headings = np.array([q.psi for q in poses])
-    return _error_series_entry(positions, headings,
-                               _EdgeCache(desired, graph))[:3]
+    e_f, e_p, e_psi, _, _ = _error_series(*pose_arrays(poses),
+                                          _EdgeCache(desired, graph))
+    return float(e_f), float(e_p), float(e_psi)
 
 
 @dataclass
@@ -146,34 +152,15 @@ class _EdgeCache:
     """Precomputed static edge arrays of a desired formation and graph."""
 
     def __init__(self, desired, graph: ObservationGraph):
-        edges = graph.sorted_edges()
-        self.obs_i = np.array([i for i, _ in edges], dtype=int)
-        self.obs_j = np.array([j for _, j in edges], dtype=int)
-        self.n_edges = len(edges)
-        p_d = np.empty((self.n_edges, 3))
-        psi_d = np.empty(self.n_edges)
-        for e, (i, j) in enumerate(edges):
-            rel = relative_pose(desired[i], desired[j])
-            p_d[e] = rel.p_rel
-            psi_d[e] = rel.psi_rel
-        self.p_d = p_d
-        self.psi_d = psi_d
+        self.obs_i, self.obs_j = graph.edge_index()
+        self.p_d, self.psi_d = relative_poses(*pose_arrays(desired),
+                                              self.obs_i, self.obs_j)
         # Draw counts per agent, ascending agent order (matches sorted edges).
         self.deg = np.bincount(self.obs_i, minlength=graph.n)
-        # Sorted edges group by observer: one slice per observing agent.
-        ends = np.cumsum(self.deg)
-        self.groups = [slice(e - d, e) for d, e in zip(self.deg, ends) if d]
-
-
-def _true_relative(positions, headings, cache: _EdgeCache):
-    ci = np.cos(headings[cache.obs_i])
-    si = np.sin(headings[cache.obs_i])
-    d = positions[cache.obs_j] - positions[cache.obs_i]
-    p_rel = np.stack([ci * d[:, 0] + si * d[:, 1],
-                      -si * d[:, 0] + ci * d[:, 1],
-                      d[:, 2]], axis=1)
-    psi_rel = wrap_angle(headings[cache.obs_j] - headings[cache.obs_i])
-    return p_rel, psi_rel
+        # e_p and e_psi average each observer's mean edge residual over the
+        # observers: one weight per edge does both means.
+        self.weights = 1.0 / (self.deg[self.obs_i]
+                              * np.count_nonzero(self.deg))
 
 
 def _draw_noise(state: SimState, cache: _EdgeCache) -> np.ndarray:
@@ -217,7 +204,8 @@ def _step_recorded(state: SimState, scenario: Scenario, cache: _EdgeCache):
     dt = 1.0 / spec.rate_hz
     n = scenario.graph.n
 
-    p_rel, psi_rel = _true_relative(state.positions, state.headings, cache)
+    p_rel, psi_rel = relative_poses(state.positions, state.headings,
+                                    cache.obs_i, cache.obs_j)
     p_m, psi_m, dist, r_hat = perturb(p_rel, psi_rel,
                                       _draw_noise(state, cache), spec)
     _require_finite(state.step_index + 1, "measurements", p_m)
@@ -236,11 +224,7 @@ def _step_recorded(state: SimState, scenario: Scenario, cache: _EdgeCache):
     cap = cfg.omega_cap / dt
     omega = np.clip(omega, -cap, cap)
 
-    cw, sw = np.cos(state.headings), np.sin(state.headings)
-    u_world = np.stack([cw * u[:, 0] - sw * u[:, 1],
-                        sw * u[:, 0] + cw * u[:, 1],
-                        u[:, 2]], axis=1)
-    positions = state.positions + u_world * dt
+    positions = state.positions + rotate_z(u, state.headings) * dt
     headings = state.headings + omega * dt
     _require_finite(state.step_index + 1, "positions", positions)
     _require_finite(state.step_index + 1, "headings", headings)
@@ -255,16 +239,26 @@ def _require_finite(step_index: int, name: str, values):
         raise FloatingPointError(f"non-finite {name} at step {step_index}")
 
 
-def _error_series_entry(positions, headings, cache: _EdgeCache):
-    p_rel, psi_rel = _true_relative(positions, headings, cache)
+def _error_series(positions, headings, cache: _EdgeCache):
+    """(e_F, e_p, e_psi, disp_p, disp_psi) of states (..., N, 3), (..., N).
+
+    disp_p and disp_psi are the norms of the stacked position and wrapped
+    heading residuals of all edges, and e_F = hypot(disp_p, disp_psi). e_F
+    bounds every residual the summary uses, so it overflows first: a
+    non-finite e_F raises, naming the first such state as the step.
+    """
+    p_rel, psi_rel = relative_poses(positions, headings, cache.obs_i,
+                                    cache.obs_j)
     dp = cache.p_d - p_rel
     dpsi = wrap_angle(cache.psi_d - psi_rel)
-    disp_p = float(np.linalg.norm(dp))
-    disp_psi = float(np.linalg.norm(dpsi))
-    e_f = math.hypot(disp_p, disp_psi)
-    per_edge_p = np.linalg.norm(dp, axis=1)
-    e_p = float(np.mean([per_edge_p[g].mean() for g in cache.groups]))
-    e_psi = float(np.mean([np.abs(dpsi[g]).mean() for g in cache.groups]))
+    disp_p = np.linalg.norm(dp, axis=(-2, -1))
+    disp_psi = np.linalg.norm(dpsi, axis=-1)
+    e_f = np.hypot(disp_p, disp_psi)
+    bad = np.flatnonzero(~np.isfinite(e_f))
+    if bad.size:
+        raise FloatingPointError(f"non-finite e_F at step {bad[0]}")
+    e_p = np.linalg.norm(dp, axis=-1) @ cache.weights
+    e_psi = np.abs(dpsi) @ cache.weights
     return e_f, e_p, e_psi, disp_p, disp_psi
 
 
@@ -287,25 +281,14 @@ def run(scenario: Scenario, run_id: int = 0) -> RunRecord:
     headings = np.empty((steps + 1, n))
     u_all = np.empty((steps, n, 3))
     omega_all = np.empty((steps, n))
-    e_f = np.empty(steps + 1)
-    e_p = np.empty(steps + 1)
-    e_psi = np.empty(steps + 1)
-    disp_p = np.empty(steps + 1)
-    disp_psi = np.empty(steps + 1)
-
-    def record(k, state):
-        positions[k] = state.positions
-        headings[k] = state.headings
-        e_f[k], e_p[k], e_psi[k], disp_p[k], disp_psi[k] = \
-            _error_series_entry(state.positions, state.headings, cache)
-        # e_F bounds every residual the summary uses; it overflows first.
-        if not math.isfinite(e_f[k]):
-            raise FloatingPointError(f"non-finite e_F at step {k}")
-
-    record(0, state)
+    positions[0], headings[0] = state.positions, state.headings
+    # An overflowing start fails on e_F before its first measurement does.
+    _error_series(positions[:1], headings[:1], cache)
     for k in range(steps):
         state, u_all[k], omega_all[k] = _step_recorded(state, scenario, cache)
-        record(k + 1, state)
+        positions[k + 1], headings[k + 1] = state.positions, state.headings
+    e_f, e_p, e_psi, disp_p, disp_psi = _error_series(positions, headings,
+                                                      cache)
 
     fiedler = np.full(steps + 1, fiedler_value(scenario.graph)
                       if n >= 2 else 0.0)

@@ -238,12 +238,13 @@ def test_numerical_overflow_exits_1_and_names_step(tmp_path, capsys,
     scen_file = tmp_path / "scen.json"
     scen_file.write_text(json.dumps(dict(MINIMAL, horizon_steps=20,
                                          **overrides)))
-    with np.errstate(all="ignore"):
-        rc = main(["sim4d", "--scenario", str(scen_file), "--out",
-                   str(tmp_path / "run.csv"), "--summary",
-                   str(tmp_path / "summary.json")])
+    # No errstate here: the CLI keeps numpy warnings off stderr itself, and
+    # the suite turns any RuntimeWarning into an error.
+    rc = main(["sim4d", "--scenario", str(scen_file), "--out",
+               str(tmp_path / "run.csv"), "--summary",
+               str(tmp_path / "summary.json")])
     assert rc == 1
-    err = json.loads(capsys.readouterr().err)
+    err = json.loads(capsys.readouterr().err)  # stderr is one JSON object
     assert err["error"] == "FloatingPointError"
     assert "e_F at step 0" in err["message"]
     assert not (tmp_path / "summary.json").exists()
@@ -258,3 +259,46 @@ def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
                str(tmp_path / "run.csv")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("sim1d", {"k_ef": 0.5, "gain": 1.0}, "gain"),
+    ("sim1d", {"ell": 0.3}, "k_ef"),
+    ("sim1d", {"k_ef": "abc"}, "k_ef"),
+    ("sim1d", {"k_ef": 0.5, "horizon": 20.5}, "horizon"),
+    ("sim1d", [0.5], "config"),
+    ("sim1d", {"k_ef": 0.5, "restrained": "false"}, "restrained"),
+    ("sim4d", dict(MINIMAL, horizon_steps="abc"), "horizon_steps"),
+    ("sim4d", dict(MINIMAL, init_radius=[1]), "init_radius"),
+    ("sim4d", dict(MINIMAL, controller={"k_e": "x"}), "k_e"),
+    ("sim4d", dict(MINIMAL, controller={"gain": 1.0}), "gain"),
+    ("sim4d", dict(MINIMAL, sensor=[10.0]), "sensor"),
+    ("sim4d", dict(MINIMAL, seed=-1), "seed"),
+])
+def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
+                                            config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    flag = "--config" if command == "sim1d" else "--scenario"
+    rc = main([command, flag, str(path), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert field in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["sweep", "--rates", "200:10:10"], "--rates"),
+    (["sweep", "--rates", ""], "--rates"),
+    (["sweep", "--ells", ""], "--ells"),
+    (["sweep", "--ells", "0.2,abc"], "--ells"),
+    (["sweep", "--rates", "10,x"], "--rates"),
+    (["sweep", "--seeds", "0"], "--seeds"),
+    (["audit", "--samples", "-3"], "--samples"),
+    (["audit", "--samples", "0"], "--samples"),
+])
+def test_bad_grid_or_sample_count_exits_2(tmp_path, capsys, argv, option):
+    out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "sweep" else []
+    rc = main(argv[:1] + ["--scenario", "builtin:pair"] + argv[1:] + out)
+    assert rc == 2
+    assert option in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "t.csv").exists()
