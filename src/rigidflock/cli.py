@@ -128,7 +128,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         for a in agents), data["agents"])
     graph = _field("edges", lambda edges: ObservationGraph.from_pairs(
         len(desired), edges), data["edges"])
-    return Scenario(
+    scen = Scenario(
         desired=desired, graph=graph,
         controller=_config(ControllerConfig, data.get("controller", {}),
                            "controller"),
@@ -139,6 +139,10 @@ def scenario_from_dict(data: dict) -> Scenario:
                              data.get("horizon_steps", 2000)),
         seed=_field("seed", int, data.get("seed", 0)),
         name=str(data.get("name", "scenario")))
+    unknown = sorted(set(data) - set(scenario_to_dict(scen)))
+    if unknown:
+        raise ScenarioError(f"unknown field: {', '.join(unknown)}")
+    return scen
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -194,8 +198,7 @@ def _cmd_sim1d(args) -> int:
     _write_table(args.out, ["step", "mean_abs_dd", "sigma_a", "mean_abs_dv"],
                  np.column_stack([np.arange(cfg.horizon), trace.mean_abs_dd,
                                   trace.sigma_a, trace.mean_abs_dv]))
-    metrics = convergence_metrics_1d(trace.mean_abs_dd, 0.0, cfg.f,
-                                     debug=True)
+    metrics = convergence_metrics_1d(trace.mean_abs_dd, 0.0, cfg.f)
     payload = {
         "t_c": metrics["t_c"],
         "sigma_t": metrics["sigma_t"],
@@ -263,6 +266,9 @@ def _parse_rates(text: str):
 
 def _cmd_sweep(args) -> int:
     scen = parse_scenario(args.scenario)
+    if scen.horizon_steps < 9:  # a row's summary needs 10 recorded states
+        raise ScenarioError(f"invalid field horizon_steps: a sweep needs at "
+                            f"least 9 steps, got {scen.horizon_steps}")
     rates = _field("--rates", _parse_rates, args.rates)
     ells = _field("--ells", lambda text: [float(v) for v in text.split(",")
                                           if v], args.ells)

@@ -218,12 +218,26 @@ def _stack(measurements):
             np.array([m.var_psi for m in meas]))
 
 
-def _command(terms, cfg: ControllerConfig, dt: float) -> ControlCommand:
-    pos, ang = terms
+def agent_commands(obs_i, pos_terms, ang_terms, n: int,
+                   cfg: ControllerConfig, dt: float):
+    """u (n, 3), omega (n,): the edge terms summed per observer obs_i (E,)
+    in edge order, scaled by k_e, the heading rate capped at omega_cap / dt.
+    """
+    u = np.zeros((n, 3))
+    omega = np.zeros(n)
+    np.add.at(u, obs_i, pos_terms)
+    np.add.at(omega, obs_i, ang_terms)
     cap = cfg.omega_cap / dt
-    omega = cfg.k_e * float(ang.sum())
-    return ControlCommand(cfg.k_e * pos.sum(axis=0),
-                          min(max(omega, -cap), cap))
+    return cfg.k_e * u, np.clip(cfg.k_e * omega, -cap, cap)
+
+
+def _command(measurements, cfg: ControllerConfig, dt: float,
+             q=None) -> ControlCommand:
+    """One agent's command; q = Phi^-1(ell) or None, as in edge_terms."""
+    p_m, psi_m, p_d, psi_d, cov_p, var_psi = _stack(measurements)
+    terms = edge_terms(p_m, psi_m, p_d, psi_d, q, cov_p, var_psi)
+    u, omega = agent_commands(np.zeros(len(psi_m), int), *terms, 1, cfg, dt)
+    return ControlCommand(u[0], float(omega[0]))
 
 
 def proportional_command(measurements, cfg: ControllerConfig,
@@ -234,8 +248,7 @@ def proportional_command(measurements, cfg: ControllerConfig,
     error; omega sums the bearing cross term and twice the wrapped heading
     error. ``dt`` is the control period used by the heading-rate cap.
     """
-    p_m, psi_m, p_d, psi_d, _, _ = _stack(measurements)
-    return _command(edge_terms(p_m, psi_m, p_d, psi_d), cfg, dt)
+    return _command(measurements, cfg, dt)
 
 
 def restrained_command(measurements, cfg: ControllerConfig,
@@ -247,9 +260,7 @@ def restrained_command(measurements, cfg: ControllerConfig,
     """
     if not cfg.restraining:
         raise ValueError("restraining is disabled in this configuration")
-    p_m, psi_m, p_d, psi_d, cov_p, var_psi = _stack(measurements)
-    return _command(edge_terms(p_m, psi_m, p_d, psi_d, cfg.quantile, cov_p,
-                               var_psi), cfg, dt)
+    return _command(measurements, cfg, dt, cfg.quantile)
 
 
 def command(measurements, cfg: ControllerConfig, dt: float = 1.0

@@ -57,6 +57,10 @@ class OneDConfig:
             raise ValueError("ell must lie in (0, 0.5]")
         if self.sigma_m < 0.0:
             raise ValueError("sigma_m must be >= 0")
+        if self.n_agents < 1:
+            raise ValueError("n_agents must be >= 1")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
 
     @property
     def quantile(self) -> float:
@@ -367,8 +371,8 @@ def run_1d_two_agents(cfg: OneDConfig, delta0: float | None = None
 # --- convergence metrics ------------------------------------------------------
 
 
-def convergence_metrics_1d(history, d: float, f: float, debug: bool = False):
-    """(t_c, sigma_t, mean_dv) of one recorded state history.
+def convergence_metrics_1d(history, d: float, f: float) -> dict:
+    """Convergence metrics of one recorded state history.
 
     Convergence index k_c is the first step whose deviation from the target
     enters the band of three suffix RMS values (RMS taken about the target,
@@ -377,9 +381,10 @@ def convergence_metrics_1d(history, d: float, f: float, debug: bool = False):
     max(k_c, M/2) so the post-entry transient ramp cannot inflate it.
     mean_dv averages |v[k] - v[k-1]| over consecutive velocity segments.
 
-    A (M, R) history holds R runs in its columns; every metric is then an
-    array over the runs. A history that never enters the band gets k_c
-    equal to the last index and converged=False in the debug payload.
+    Returns t_c = k_c / f, sigma_t, mean_dv, k_c, converged and k_c_literal
+    by name. A (M, R) history holds R runs in its columns; every metric is
+    then an array over the runs. A history that never enters the band gets
+    k_c equal to the last index and converged=False.
     """
     x = np.asarray(history, dtype=float)
     if x.ndim != 2:
@@ -403,8 +408,6 @@ def convergence_metrics_1d(history, d: float, f: float, debug: bool = False):
     mean_dv = np.abs(np.diff(v, axis=0)).mean(axis=0)
     # One run gives plain Python scalars, R runs give arrays over the runs.
     out = (lambda val: np.asarray(val).item()) if x.ndim == 1 else np.asarray
-    if not debug:
-        return out(k_c / f), out(sigma_t), out(mean_dv)
     # Literal band-exit reading of the convergence index, for comparison.
     exits = np.abs(dev[:-1]) > 3.0 * rms[1:]
     k_literal = np.where(exits.any(axis=0), np.argmax(exits, axis=0) + 1, 0)
@@ -444,9 +447,9 @@ def tradeoff_sweep(k_grid, ells, n_runs: int = 500, horizon: int = 2000,
                 m = x + rng.standard_normal(n_runs) * sigma_m
                 x = x + restrained_displacement(cfg.d - m, sigma_m, cfg)
                 states[k + 1] = x
-            t_c, sig_t, dv = convergence_metrics_1d(states, cfg.d, f)
-            out[(k_ef, ell)] = (float(t_c.mean()), float(sig_t.mean()),
-                                float(dv.mean()))
+            m = convergence_metrics_1d(states, cfg.d, f)
+            out[(k_ef, ell)] = tuple(float(m[key].mean()) for key in
+                                     ("t_c", "sigma_t", "mean_dv"))
     return out
 
 

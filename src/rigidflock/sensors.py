@@ -110,17 +110,16 @@ def sample_measurement(rng: np.random.Generator, true_rel: RelativePose,
     return NoisyRelativePose(p_m, psi_m, cov, spec.heading_sigma ** 2)
 
 
-def measurement_stream(master_seed: int, agent_id: int,
-                       run_id: int = 0) -> np.random.Generator:
-    """Independent, reproducible noise stream for one agent in one run.
+def measurement_stream(master_seed: int, agent_id: int) -> np.random.Generator:
+    """Independent, reproducible noise stream of one agent.
 
-    Streams are keyed on (master_seed, agent_id, run_id) only, so two runs
-    that share a seed see identical noise regardless of controller settings;
+    Streams are keyed on (master_seed, agent_id) only, so two runs that
+    share a seed see identical noise regardless of controller settings;
     parameter sweeps then compare controllers on the same realizations.
     """
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed,
-                               spawn_key=(1, agent_id, run_id)))
+                               spawn_key=(1, agent_id, 0)))
 
 
 def init_stream(master_seed: int) -> np.random.Generator:

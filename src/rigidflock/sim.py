@@ -11,8 +11,8 @@ through ``control.edge_terms``, the kernel behind the per-agent commands
 too; a property test checks it against an independent scalar form of the
 law. The error series (e_F, e_p, e_psi) is computed after the run, in one
 vectorized pass of the same relative-pose map over the recorded ground-truth
-history. One (scenario, seed) pair always reproduces the same run bit for
-bit.
+history. A run's noise is drawn once, from one stream per (seed, agent).
+One (scenario, seed) pair always reproduces the same run bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControllerConfig, edge_terms
+from .control import ControllerConfig, agent_commands, edge_terms
 from .core import (AgentPose, pose_arrays, relative_poses, rotate_z,
                    wrap_angle)
 from .graphs import ObservationGraph, count_passive_sinks, fiedler_value, \
@@ -122,19 +122,22 @@ def formation_error(poses, desired, graph: ObservationGraph):
 
 @dataclass
 class SimState:
-    """Mutable simulation state; owns the per-agent noise streams."""
+    """Mutable simulation state; noise[k] holds the (E, 4) standard normals
+    of step k in sorted-edge order, for horizon_steps steps."""
 
     positions: np.ndarray
     headings: np.ndarray
     step_index: int
-    rngs: tuple
+    noise: np.ndarray
 
 
-def init_state(scenario: Scenario, run_id: int = 0) -> SimState:
+def init_state(scenario: Scenario) -> SimState:
     """Initial poses in a ball of init_radius with uniform headings.
 
     The draw depends only on the scenario seed, so runs that differ in
-    controller settings start identically.
+    controller settings start identically and see the same noise: each
+    agent draws its (horizon_steps, out-degree, 4) block in one call, the
+    same numbers as one (out-degree, 4) draw per step.
     """
     n = scenario.graph.n
     rng = init_stream(scenario.seed)
@@ -143,9 +146,11 @@ def init_state(scenario: Scenario, run_id: int = 0) -> SimState:
     radius = scenario.init_radius * rng.uniform(0.0, 1.0, n) ** (1.0 / 3.0)
     positions = direction * radius[:, None]
     headings = wrap_angle(rng.uniform(-math.pi, math.pi, n))
-    rngs = tuple(measurement_stream(scenario.seed, a, run_id)
-                 for a in range(n))
-    return SimState(positions, headings, 0, rngs)
+    noise = np.concatenate(
+        [measurement_stream(scenario.seed, a).standard_normal(
+            (scenario.horizon_steps, scenario.graph.out_degree(a), 4))
+         for a in range(n)], axis=1)
+    return SimState(positions, headings, 0, noise)
 
 
 class _EdgeCache:
@@ -155,25 +160,10 @@ class _EdgeCache:
         self.obs_i, self.obs_j = graph.edge_index()
         self.p_d, self.psi_d = relative_poses(*pose_arrays(desired),
                                               self.obs_i, self.obs_j)
-        # Draw counts per agent, ascending agent order (matches sorted edges).
-        self.deg = np.bincount(self.obs_i, minlength=graph.n)
         # e_p and e_psi average each observer's mean edge residual over the
         # observers: one weight per edge does both means.
-        self.weights = 1.0 / (self.deg[self.obs_i]
-                              * np.count_nonzero(self.deg))
-
-
-def _draw_noise(state: SimState, cache: _EdgeCache) -> np.ndarray:
-    """One (n_edges, 4) block of standard normals, per-agent streams.
-
-    Agent i draws 4 values per observed neighbor in ascending neighbor
-    order, which is exactly the sorted-edge order of the cache.
-    """
-    blocks = []
-    for a, rng in enumerate(state.rngs):
-        if cache.deg[a]:
-            blocks.append(rng.standard_normal((cache.deg[a], 4)))
-    return np.vstack(blocks) if blocks else np.empty((0, 4))
+        deg = np.bincount(self.obs_i, minlength=graph.n)
+        self.weights = 1.0 / (deg[self.obs_i] * np.count_nonzero(deg))
 
 
 def _edge_commands(p_m, psi_m, s_r, s_t, r_hat, cache: _EdgeCache,
@@ -191,23 +181,24 @@ def _edge_commands(p_m, psi_m, s_r, s_t, r_hat, cache: _EdgeCache,
 
 def step(state: SimState, scenario: Scenario,
          cache: _EdgeCache | None = None) -> SimState:
-    """Advance one measurement period: sample, command, integrate."""
+    """Advance one measurement period: sample, command, integrate.
+
+    A state holds noise for horizon_steps steps, and no step beyond them.
+    """
     if cache is None:
         cache = _EdgeCache(scenario.desired, scenario.graph)
-    new_state, _, _ = _step_recorded(state, scenario, cache)
-    return new_state
+    return _step_recorded(state, scenario, cache)[0]
 
 
 def _step_recorded(state: SimState, scenario: Scenario, cache: _EdgeCache):
     cfg = scenario.controller
     spec = scenario.sensor
     dt = 1.0 / spec.rate_hz
-    n = scenario.graph.n
 
     p_rel, psi_rel = relative_poses(state.positions, state.headings,
                                     cache.obs_i, cache.obs_j)
     p_m, psi_m, dist, r_hat = perturb(p_rel, psi_rel,
-                                      _draw_noise(state, cache), spec)
+                                      state.noise[state.step_index], spec)
     _require_finite(state.step_index + 1, "measurements", p_m)
     psi_m = wrap_angle(psi_m)
     # The controller sees floored covariances, never degenerate ones.
@@ -215,21 +206,15 @@ def _step_recorded(state: SimState, scenario: Scenario, cache: _EdgeCache):
 
     pos_terms, ang_terms = _edge_commands(p_m, psi_m, s_r, s_t, r_hat,
                                           cache, cfg, spec.heading_sigma ** 2)
-    u = np.zeros((n, 3))
-    omega = np.zeros(n)
-    np.add.at(u, cache.obs_i, pos_terms)
-    np.add.at(omega, cache.obs_i, ang_terms)
-    u *= cfg.k_e
-    omega *= cfg.k_e
-    cap = cfg.omega_cap / dt
-    omega = np.clip(omega, -cap, cap)
+    u, omega = agent_commands(cache.obs_i, pos_terms, ang_terms,
+                              scenario.graph.n, cfg, dt)
 
     positions = state.positions + rotate_z(u, state.headings) * dt
     headings = state.headings + omega * dt
     _require_finite(state.step_index + 1, "positions", positions)
     _require_finite(state.step_index + 1, "headings", headings)
     new = SimState(positions, wrap_angle(headings), state.step_index + 1,
-                   state.rngs)
+                   state.noise)
     return new, u, omega
 
 
@@ -262,7 +247,7 @@ def _error_series(positions, headings, cache: _EdgeCache):
     return e_f, e_p, e_psi, disp_p, disp_psi
 
 
-def run(scenario: Scenario, run_id: int = 0) -> RunRecord:
+def run(scenario: Scenario) -> RunRecord:
     """Simulate the scenario for its full horizon and compute metrics.
 
     Convergence metrics follow the scalar definitions with the stacked
@@ -274,7 +259,7 @@ def run(scenario: Scenario, run_id: int = 0) -> RunRecord:
     cache = _EdgeCache(scenario.desired, scenario.graph)
     n = scenario.graph.n
     steps = scenario.horizon_steps
-    state = init_state(scenario, run_id)
+    state = init_state(scenario)
     f_hz = scenario.sensor.rate_hz
 
     positions = np.empty((steps + 1, n, 3))
@@ -300,25 +285,20 @@ def run(scenario: Scenario, run_id: int = 0) -> RunRecord:
 def _summarize(disp_p, disp_psi, u_all, omega_all, f_hz, scenario):
     if disp_p.size < 10:
         return {}
-    mp = convergence_metrics_1d(disp_p, 0.0, f_hz, debug=True)
-    mpsi = convergence_metrics_1d(disp_psi, 0.0, f_hz, debug=True)
+    mp = convergence_metrics_1d(disp_p, 0.0, f_hz)
+    mpsi = convergence_metrics_1d(disp_psi, 0.0, f_hz)
     tail = max(mp["k_c"], disp_p.size // 2)
     stable_rms_p = float(np.sqrt(np.mean(disp_p[tail:] ** 2)))
     threshold = 0.5 * scenario.min_desired_distance()
-    if u_all.shape[0] >= 2:
-        du = np.linalg.norm(np.diff(u_all, axis=0), axis=2)
-        dom = np.abs(np.diff(omega_all, axis=0))
-        mean_dv = float(du.mean())
-        mean_domega = float(dom.mean())
-        a_p = float(du.mean() * f_hz)
-    else:
-        mean_dv = mean_domega = a_p = 0.0
-    v_psi = float(np.abs(omega_all).mean()) if omega_all.size else 0.0
+    # At least 9 commands per agent here, so no difference below is empty.
+    du = np.linalg.norm(np.diff(u_all, axis=0), axis=2)
+    dom = np.abs(np.diff(omega_all, axis=0))
     return {
         "t_cp": mp["t_c"], "t_cpsi": mpsi["t_c"],
         "sigma_tp": mp["sigma_t"], "sigma_tpsi": mpsi["sigma_t"],
-        "mean_dv": mean_dv, "mean_domega": mean_domega,
-        "a_p": a_p, "v_psi": v_psi,
+        "mean_dv": float(du.mean()), "mean_domega": float(dom.mean()),
+        "a_p": float(du.mean() * f_hz),
+        "v_psi": float(np.abs(omega_all).mean()),
         "stable_rms_p": stable_rms_p,
         "converged": bool(mp["converged"]
                           and (threshold == 0.0
@@ -394,7 +374,6 @@ def sweep(scenario: Scenario, rates, ells, n_seeds: int) -> list:
                     controller=replace(scenario.controller, ell=ell),
                     sensor=replace(scenario.sensor, rate_hz=f_hz),
                     seed=scenario.seed + s)
-                row = {"rate_hz": f_hz, "ell": ell, "seed": scen.seed}
-                row.update(run(scen).summary)
-                rows.append(row)
+                rows.append({"rate_hz": f_hz, "ell": ell, "seed": scen.seed,
+                             **run(scen).summary})
     return rows

@@ -32,7 +32,7 @@ from rigidflock.rigidity import (formation_error_stack,
                                  lyapunov_rate, rigidity_world,
                                  single_edge_m)
 from rigidflock.sensors import SensorSpec, covariance_for
-from rigidflock.sim import builtin_scenarios, run
+from rigidflock.sim import builtin_scenarios, run, sweep
 
 
 def report(cid: str, ok: bool, detail: str):
@@ -249,18 +249,13 @@ def test_c8_half_ell_degeneracy_exact():
 
 
 def _median_summaries(scen, rate, ells, seeds):
+    grid = sweep(scen, [rate], ells, seeds)
     out = {}
     for ell in ells:
-        rows = []
-        for s in range(seeds):
-            cell = dataclasses.replace(
-                scen,
-                controller=dataclasses.replace(scen.controller, ell=ell),
-                sensor=dataclasses.replace(scen.sensor, rate_hz=rate),
-                seed=scen.seed + s)
-            rows.append(run(cell).summary)
+        rows = [r for r in grid if r["ell"] == ell]
         out[ell] = {k: float(np.median([r[k] for r in rows]))
-                    for k in rows[0] if k != "converged"}
+                    for k in rows[0]
+                    if k not in ("rate_hz", "ell", "seed", "converged")}
         out[ell]["converged_frac"] = float(np.mean(
             [r["converged"] for r in rows]))
     return out

@@ -274,6 +274,10 @@ def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
     ("sim4d", dict(MINIMAL, controller={"gain": 1.0}), "gain"),
     ("sim4d", dict(MINIMAL, sensor=[10.0]), "sensor"),
     ("sim4d", dict(MINIMAL, seed=-1), "seed"),
+    ("sim4d", dict(MINIMAL, horizon_step=20), "horizon_step"),
+    ("sweep", dict(MINIMAL, horizon_steps=5), "horizon_steps"),
+    ("sim1d", {"k_ef": 0.5, "n_agents": 0}, "n_agents"),
+    ("sim1d", {"k_ef": 0.5, "horizon": -3}, "horizon"),
 ])
 def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
                                             config, field):
@@ -302,3 +306,13 @@ def test_bad_grid_or_sample_count_exits_2(tmp_path, capsys, argv, option):
     assert rc == 2
     assert option in json.loads(capsys.readouterr().err)["message"]
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_sweep_accepts_shortest_horizon(tmp_path):
+    scen_file = tmp_path / "scen.json"
+    scen_file.write_text(json.dumps(dict(MINIMAL, horizon_steps=9)))
+    out = tmp_path / "t.csv"
+    assert main(["sweep", "--scenario", str(scen_file), "--rates", "20",
+                 "--ells", "0.2,0.5", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3 and rows[1].split(",")[3] != ""

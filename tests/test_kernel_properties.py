@@ -1,7 +1,7 @@
 """Properties of the array kernels over random edge batches and poses."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rigidflock.control import (ControllerConfig, DesiredRelativePose,
@@ -9,8 +9,10 @@ from rigidflock.control import (ControllerConfig, DesiredRelativePose,
                                 proportional_command, restrained_command)
 from rigidflock.core import (AgentPose, relative_poses, rotate_z, rotz,
                             std_normal_quantile, wrap_angle)
-from rigidflock.graphs import ObservationGraph
-from rigidflock.sim import _EdgeCache, _error_series
+from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
+                               is_connected)
+from rigidflock.sensors import measurement_stream
+from rigidflock.sim import Scenario, _EdgeCache, _error_series, init_state
 from scalar_law import restrained_edge_terms
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
@@ -137,3 +139,32 @@ def test_error_series_matches_edge_loop(case):
         for got, want in zip(series, loop_error(desired, graph, pos[k],
                                                 psi[k])):
             assert abs(got[k] - want) <= 1e-12 * (1.0 + want)
+
+
+@st.composite
+def scenario(draw):
+    """A valid scenario: random connected graph, horizon and seed."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    graph = ObservationGraph.from_pairs(n, draw(st.lists(
+        st.sampled_from(pairs), unique=True)) if pairs else [])
+    assume(is_connected(graph) and count_passive_sinks(graph) <= 1)
+    return Scenario(desired=tuple(AgentPose([5.0 * a, 0.0, 0.0], 0.0)
+                                  for a in range(n)),
+                    graph=graph, horizon_steps=draw(st.integers(0, 6)),
+                    seed=draw(st.integers(0, 2 ** 63)))
+
+
+@given(scenario())
+def test_run_noise_equals_per_step_draws_bitwise(scen):
+    # step k holds each agent's (out-degree, 4) draw of step k from its own
+    # stream, agents in ascending order: the sorted-edge order
+    noise = init_state(scen).noise
+    n = scen.graph.n
+    streams = [measurement_stream(scen.seed, a) for a in range(n)]
+    degrees = [scen.graph.out_degree(a) for a in range(n)]
+    assert noise.shape == (scen.horizon_steps, len(scen.graph.edges), 4)
+    for k in range(scen.horizon_steps):
+        want = np.concatenate([rng.standard_normal((d, 4))
+                               for rng, d in zip(streams, degrees)])
+        assert noise[k].tobytes() == want.tobytes()

@@ -337,10 +337,9 @@ def test_two_agents_expected_trajectory_in_linear_regime():
 def test_metrics_noiseless_decay():
     c = cfg(k_ef=0.2, d=0.0, f=10.0)
     x = 50.0 * (1 - c.k_ef) ** np.arange(400)
-    t_c, sigma_t, mean_dv = convergence_metrics_1d(x, 0.0, c.f)
-    assert 0.0 < t_c < 40.0
-    assert sigma_t < 1e-3  # decays toward zero in the tail
-    dbg = convergence_metrics_1d(x, 0.0, c.f, debug=True)
+    dbg = convergence_metrics_1d(x, 0.0, c.f)
+    assert 0.0 < dbg["t_c"] < 40.0
+    assert dbg["sigma_t"] < 1e-3  # decays toward zero in the tail
     assert dbg["converged"]
     assert "k_c_literal" in dbg
 
@@ -348,7 +347,7 @@ def test_metrics_noiseless_decay():
 def test_metrics_stationary_noise_converges_immediately():
     rng = np.random.default_rng(14)
     x = rng.standard_normal(500)
-    dbg = convergence_metrics_1d(x, 0.0, 10.0, debug=True)
+    dbg = convergence_metrics_1d(x, 0.0, 10.0)
     assert dbg["k_c"] == 0
     assert dbg["sigma_t"] == pytest.approx(1.0, rel=0.2)
 

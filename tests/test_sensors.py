@@ -90,7 +90,7 @@ def test_fixed_seed_stream_is_bit_identical():
 def test_streams_differ_across_agents_and_runs():
     x = measurement_stream(9, 0).standard_normal(4)
     y = measurement_stream(9, 1).standard_normal(4)
-    z = measurement_stream(9, 0, run_id=1).standard_normal(4)
+    z = measurement_stream(10, 0).standard_normal(4)
     w = init_stream(9).standard_normal(4)
     assert not np.allclose(x, y)
     assert not np.allclose(x, z)

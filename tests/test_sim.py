@@ -253,21 +253,17 @@ def test_sweep_row_schema():
         assert key in row
 
 
+def _medians(rows, ell, keys):
+    """Median of each summary key over the sweep rows of one ell."""
+    return {k: float(np.median([r[k] for r in rows if r["ell"] == ell]))
+            for k in keys}
+
+
 def test_pair_restraining_tradeoff_at_100hz():
     # lowering ell trades convergence speed for a calmer stable state
-    scen = builtin_scenarios()[0]
-    med = {}
-    for ell in (0.5, 0.05):
-        rows = []
-        for s in range(10):
-            cell = dataclasses.replace(
-                scen,
-                controller=dataclasses.replace(scen.controller, ell=ell),
-                sensor=dataclasses.replace(scen.sensor, rate_hz=100.0),
-                seed=s)
-            rows.append(run(cell).summary)
-        med[ell] = {k: float(np.median([r[k] for r in rows]))
-                    for k in ("sigma_tp", "t_cp")}
+    rows = sweep(builtin_scenarios()[0], [100.0], [0.5, 0.05], 10)
+    med = {ell: _medians(rows, ell, ("sigma_tp", "t_cp"))
+           for ell in (0.5, 0.05)}
     assert med[0.05]["sigma_tp"] < med[0.5]["sigma_tp"]
     assert med[0.05]["t_cp"] >= med[0.5]["t_cp"]
 
@@ -276,19 +272,12 @@ def test_restraining_calms_flight_metrics_low_gain():
     # triangle at the low-gain operating point: ell = 0.3 lowers the
     # velocity-change, rotation-rate and stable-noise metrics against plain
     # proportional control, at a small convergence-time cost
-    scen = builtin_scenarios()[1]
-    med = {}
-    for ell in (0.5, 0.3):
-        rows = []
-        for s in range(8):
-            cell = dataclasses.replace(
-                scen,
-                controller=ControllerConfig(k_e=0.06, ell=ell),
-                sensor=dataclasses.replace(scen.sensor, rate_hz=10.0),
-                horizon_steps=1500, seed=s)
-            rows.append(run(cell).summary)
-        med[ell] = {k: float(np.median([r[k] for r in rows]))
-                    for k in ("sigma_tp", "mean_dv", "v_psi", "a_p")}
+    scen = dataclasses.replace(builtin_scenarios()[1],
+                               controller=ControllerConfig(k_e=0.06),
+                               horizon_steps=1500)
+    rows = sweep(scen, [10.0], [0.5, 0.3], 8)
+    med = {ell: _medians(rows, ell, ("sigma_tp", "mean_dv", "v_psi", "a_p"))
+           for ell in (0.5, 0.3)}
     assert med[0.3]["mean_dv"] < med[0.5]["mean_dv"]
     assert med[0.3]["v_psi"] < med[0.5]["v_psi"]
     assert med[0.3]["a_p"] < med[0.5]["a_p"]
