@@ -102,24 +102,35 @@ def _field(name: str, convert, value):
         raise ScenarioError(f"invalid field {name}: {exc}") from exc
 
 
-# JSON types accepted for each annotated type of a config dataclass field.
-_JSON_TYPES = {"float": (int, float), "int": int, "bool": bool}
+# JSON types accepted for each annotated type of a dataclass field; no
+# field takes true/false, which Python's isinstance counts as an int.
+_JSON_TYPES = {"float": (int, float), "int": int, "str": str}
+
+
+def _typed(cls, data, name: str) -> dict:
+    """The JSON object ``name``, its fields checked against cls's types."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"invalid field {name}: expected an object, got "
+                            f"{data!r}")
+    for f in dataclasses.fields(cls):
+        value = data.get(f.name)
+        if f.name in data and (isinstance(value, bool) or not isinstance(
+                value, _JSON_TYPES.get(f.type, object))):
+            raise ScenarioError(f"invalid field {f.name} in {name}: expected "
+                                f"{f.type}, got {value!r}")
+    return data
 
 
 def _config(cls, data, name: str):
     """cls(**data) from the JSON object ``name``; errors name the field."""
-    data = _field(name, dict, data)
-    for f in dataclasses.fields(cls):
-        if f.name in data and not isinstance(data[f.name],
-                                             _JSON_TYPES[f.type]):
-            raise ScenarioError(f"invalid field {f.name} in {name}: expected "
-                                f"{f.type}, got {data[f.name]!r}")
     # An unknown or missing field fails here, and the TypeError names it.
-    return _field(name, lambda fields: cls(**fields), data)
+    return _field(name, lambda fields: cls(**fields),
+                  _typed(cls, data, name))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario, naming the offending field on error."""
+    data = _typed(Scenario, data, "scenario")
     for name in ("agents", "edges"):
         if name not in data:
             raise ScenarioError(f"missing field: {name}")
@@ -133,12 +144,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         controller=_config(ControllerConfig, data.get("controller", {}),
                            "controller"),
         sensor=_config(SensorSpec, data.get("sensor", {}), "sensor"),
-        init_radius=_field("init_radius", float,
-                           data.get("init_radius", 20.0)),
-        horizon_steps=_field("horizon_steps", int,
-                             data.get("horizon_steps", 2000)),
-        seed=_field("seed", int, data.get("seed", 0)),
-        name=str(data.get("name", "scenario")))
+        init_radius=float(data.get("init_radius", 20.0)),
+        horizon_steps=data.get("horizon_steps", 2000),
+        seed=data.get("seed", 0), name=data.get("name", "scenario"))
     unknown = sorted(set(data) - set(scenario_to_dict(scen)))
     if unknown:
         raise ScenarioError(f"unknown field: {', '.join(unknown)}")
@@ -188,7 +196,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sim1d(args) -> int:
     with open(args.config) as fh:
-        raw = _field("config", dict, json.load(fh))
+        raw = _typed(OneDConfig, json.load(fh), "config")
     restrained = raw.pop("restrained", True)
     if not isinstance(restrained, bool):
         raise ScenarioError(f"invalid field restrained: expected bool, got "
@@ -198,7 +206,7 @@ def _cmd_sim1d(args) -> int:
     _write_table(args.out, ["step", "mean_abs_dd", "sigma_a", "mean_abs_dv"],
                  np.column_stack([np.arange(cfg.horizon), trace.mean_abs_dd,
                                   trace.sigma_a, trace.mean_abs_dv]))
-    metrics = convergence_metrics_1d(trace.mean_abs_dd, 0.0, cfg.f)
+    metrics = convergence_metrics_1d(trace.mean_abs_dd, cfg.f)
     payload = {
         "t_c": metrics["t_c"],
         "sigma_t": metrics["sigma_t"],

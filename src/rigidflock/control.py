@@ -75,14 +75,14 @@ class ControlCommand:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Gains and restraining parameters shared by all agents.
+    """Gains and overshoot probability shared by all agents.
 
+    ell = 0.5 is plain gradient descent, a smaller ell the restrained law.
     omega_cap bounds the heading change per control period (radians).
     """
 
     k_e: float = 0.5
     ell: float = 0.5
-    restraining: bool = True
     omega_cap: float = math.pi
 
     def __post_init__(self):
@@ -258,14 +258,4 @@ def restrained_command(measurements, cfg: ControllerConfig,
     Each term is clamped against its raw proportional counterpart, so any
     term whose measured error falls inside its dead zone contributes zero.
     """
-    if not cfg.restraining:
-        raise ValueError("restraining is disabled in this configuration")
     return _command(measurements, cfg, dt, cfg.quantile)
-
-
-def command(measurements, cfg: ControllerConfig, dt: float = 1.0
-            ) -> ControlCommand:
-    """Dispatch on cfg.restraining."""
-    if cfg.restraining:
-        return restrained_command(measurements, cfg, dt)
-    return proportional_command(measurements, cfg, dt)

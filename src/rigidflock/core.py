@@ -124,11 +124,11 @@ def relative_pose(q_i: AgentPose, q_j: AgentPose) -> RelativePose:
     return RelativePose(p_rel[0], psi_rel[0])
 
 
-def ensure_covariance3(mat, tol: float = 1e-12) -> np.ndarray:
+def ensure_covariance3(mat) -> np.ndarray:
     """Validate a 3x3 position covariance: symmetric, positive semidefinite.
 
-    Returns a float64 copy. Symmetry is checked to ``tol`` relative to the
-    matrix scale and eigenvalues may be as small as -tol * trace.
+    Returns a float64 copy. Symmetry is checked to 1e-12 relative to the
+    matrix scale and eigenvalues may be as small as -1e-12 * trace.
     """
     m = np.asarray(mat, dtype=float)
     if m.shape != (3, 3):
@@ -136,11 +136,11 @@ def ensure_covariance3(mat, tol: float = 1e-12) -> np.ndarray:
     scale = max(float(np.abs(m).max()), 1.0)
     if not np.all(np.isfinite(m)):
         raise ValueError("covariance must be finite")
-    if np.abs(m - m.T).max() > tol * scale:
+    if np.abs(m - m.T).max() > 1e-12 * scale:
         raise ValueError("covariance must be symmetric")
     tr = float(np.trace(m))
     evals = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if evals[0] < -tol * max(tr, 1.0):
+    if evals[0] < -1e-12 * max(tr, 1.0):
         raise ValueError(f"covariance must be positive semidefinite, "
                          f"min eigenvalue {evals[0]:g}")
     return m.copy()

@@ -241,35 +241,28 @@ def estimate_coherence_time(cfg: OneDConfig, steps: int = 1_000_000,
     d = cfg.d
     x = d
     moves = 0
-    total = steps + burn
-    done = 0
-    chunk = 1 << 20
-    while done < total:
-        n = min(chunk, total - done)
-        noise = rng.standard_normal(n) * s
-        for i in range(n):
-            dm = d - (x + noise[i])
-            if dm > thr:
-                x += k_ef * (dm + s * q)
-                if done + i >= burn:
-                    moves += 1
-            elif dm < -thr:
-                x += k_ef * (dm - s * q)
-                if done + i >= burn:
-                    moves += 1
-        done += n
+    noise = rng.standard_normal(steps + burn) * s
+    for i in range(steps + burn):
+        dm = d - (x + noise[i])
+        if dm > thr:
+            x += k_ef * (dm + s * q)
+            if i >= burn:
+                moves += 1
+        elif dm < -thr:
+            x += k_ef * (dm - s * q)
+            if i >= burn:
+                moves += 1
     if moves == 0:
         raise ArithmeticError("no motion events observed")
     return steps / moves
 
 
-def kl_divergence_gaussianity(samples, bins: int = 64,
-                              span: float = 5.0) -> float:
+def kl_divergence_gaussianity(samples) -> float:
     """KL divergence (nats) of a sample histogram from a fitted Gaussian.
 
     The Gaussian is zero-mean with the empirical standard deviation; the
-    histogram uses ``bins`` equal bins on +-span sigma. Both distributions
-    are renormalized on the window and empty bins are skipped.
+    histogram has 64 equal bins on +-5 sigma. Both distributions are
+    renormalized on the window and empty bins are skipped.
     """
     z = np.asarray(samples, dtype=float).ravel()
     if z.size < 10_000:
@@ -277,7 +270,7 @@ def kl_divergence_gaussianity(samples, bins: int = 64,
     sig = float(z.std())
     if sig == 0.0:
         raise ValueError("samples are degenerate (zero variance)")
-    edges = np.linspace(-span * sig, span * sig, bins + 1)
+    edges = np.linspace(-5.0 * sig, 5.0 * sig, 65)
     counts, _ = np.histogram(z, edges)
     inside = counts.sum()
     if inside == 0:
@@ -290,21 +283,16 @@ def kl_divergence_gaussianity(samples, bins: int = 64,
     return float(np.sum(p[mask] * np.log(p[mask] / gauss[mask])))
 
 
-def run_1d_ensemble(cfg: OneDConfig, restrained: bool = True,
-                    x0=None) -> EnsembleTrace:
+def run_1d_ensemble(cfg: OneDConfig, restrained: bool = True) -> EnsembleTrace:
     """Simulate the scalar ensemble for cfg.horizon steps.
 
-    Agents start Gaussian around d with spread sigma_init (or at the given
-    x0 array). sigma_a is the spread of the ensemble around its own mean at
-    each step; mean_abs_dv averages the per-agent change of velocity between
-    consecutive steps.
+    Agents start Gaussian around d with spread sigma_init. sigma_a is the
+    spread of the ensemble around its own mean at each step; mean_abs_dv
+    averages the per-agent change of velocity between consecutive steps.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n = cfg.n_agents
-    if x0 is None:
-        x = cfg.d + rng.standard_normal(n) * cfg.sigma_init
-    else:
-        x = np.asarray(x0, dtype=float).copy()
+    x = cfg.d + rng.standard_normal(n) * cfg.sigma_init
     mean_abs_dd = np.empty(cfg.horizon)
     sigma_a = np.empty(cfg.horizon)
     mean_abs_dv = np.empty(cfg.horizon)
@@ -333,21 +321,19 @@ class TwoAgentTrace:
     clamp_rate: np.ndarray
 
 
-def run_1d_two_agents(cfg: OneDConfig, delta0: float | None = None
-                      ) -> TwoAgentTrace:
+def run_1d_two_agents(cfg: OneDConfig) -> TwoAgentTrace:
     """Two mutually tracking agents, both restrained, over an ensemble.
 
-    Each pair starts at relative displacement delta0 (default sigma_init)
-    from the desired one; both agents step on independent measurements of
-    the same relative state. clamp_rate is the per-step fraction of agent
-    inputs nullified by the dead zone.
+    Each pair starts at relative displacement sigma_init from the desired
+    one; both agents step on independent measurements of the same relative
+    state. clamp_rate is the per-step fraction of agent inputs nullified by
+    the dead zone.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
                                                        spawn_key=(2,)))
     n = cfg.n_agents
-    d0 = cfg.sigma_init if delta0 is None else delta0
     p1 = np.zeros(n)
-    p2 = np.full(n, cfg.d + d0)
+    p2 = np.full(n, cfg.d + cfg.sigma_init)
     s = cfg.sigma_m
     delta_mean = np.empty(cfg.horizon)
     delta_abs_mean = np.empty(cfg.horizon)
@@ -371,14 +357,14 @@ def run_1d_two_agents(cfg: OneDConfig, delta0: float | None = None
 # --- convergence metrics ------------------------------------------------------
 
 
-def convergence_metrics_1d(history, d: float, f: float) -> dict:
-    """Convergence metrics of one recorded state history.
+def convergence_metrics_1d(history, f: float) -> dict:
+    """Convergence metrics of one recorded history, its target at zero.
 
-    Convergence index k_c is the first step whose deviation from the target
-    enters the band of three suffix RMS values (RMS taken about the target,
-    so the band is well defined for norm-valued series too). sigma_t is the
-    stable-state spread about the mean, estimated on the suffix from
-    max(k_c, M/2) so the post-entry transient ramp cannot inflate it.
+    Convergence index k_c is the first step whose value enters the band of
+    three suffix RMS values (RMS taken about the target, so the band is
+    well defined for norm-valued series too). sigma_t is the stable-state
+    spread about the mean, estimated on the suffix from max(k_c, M/2) so
+    the post-entry transient ramp cannot inflate it.
     mean_dv averages |v[k] - v[k-1]| over consecutive velocity segments.
 
     Returns t_c = k_c / f, sigma_t, mean_dv, k_c, converged and k_c_literal
@@ -392,15 +378,14 @@ def convergence_metrics_1d(history, d: float, f: float) -> dict:
     size = x.shape[0]
     if size < 10:
         raise ValueError("need a history of at least 10 samples")
-    dev = x - d
     # Suffix RMS about the target, from reverse cumulative sums of squares.
     count = np.arange(size, 0, -1, dtype=float).reshape(
         (size,) + (1,) * (x.ndim - 1))
-    rms = np.sqrt(np.cumsum(dev[::-1] ** 2, axis=0)[::-1] / count)
-    inside = np.abs(dev) <= 3.0 * rms
+    rms = np.sqrt(np.cumsum(x[::-1] ** 2, axis=0)[::-1] / count)
+    inside = np.abs(x) <= 3.0 * rms
     converged = inside.any(axis=0)
     k_c = np.where(converged, np.argmax(inside, axis=0), size - 1)
-    runs = dev.reshape(size, -1)  # (M, R) view; R = 1 for a single run
+    runs = x.reshape(size, -1)  # (M, R) view; R = 1 for a single run
     tail_start = np.maximum(k_c, size // 2).ravel()
     sigma_t = np.array([runs[t:, r].std() for r, t in enumerate(tail_start)]
                        ).reshape(k_c.shape)
@@ -409,7 +394,7 @@ def convergence_metrics_1d(history, d: float, f: float) -> dict:
     # One run gives plain Python scalars, R runs give arrays over the runs.
     out = (lambda val: np.asarray(val).item()) if x.ndim == 1 else np.asarray
     # Literal band-exit reading of the convergence index, for comparison.
-    exits = np.abs(dev[:-1]) > 3.0 * rms[1:]
+    exits = np.abs(x[:-1]) > 3.0 * rms[1:]
     k_literal = np.where(exits.any(axis=0), np.argmax(exits, axis=0) + 1, 0)
     return {
         "t_c": out(k_c / f), "sigma_t": out(sigma_t),
@@ -447,28 +432,26 @@ def tradeoff_sweep(k_grid, ells, n_runs: int = 500, horizon: int = 2000,
                 m = x + rng.standard_normal(n_runs) * sigma_m
                 x = x + restrained_displacement(cfg.d - m, sigma_m, cfg)
                 states[k + 1] = x
-            m = convergence_metrics_1d(states, cfg.d, f)
+            m = convergence_metrics_1d(states, f)
             out[(k_ef, ell)] = tuple(float(m[key].mean()) for key in
                                      ("t_c", "sigma_t", "mean_dv"))
     return out
 
 
-def dominance_check(sweep, k_grid, ells, base_ell: float = 0.5,
-                    band: float = 0.05):
+def dominance_check(sweep, k_grid, ells, band: float = 0.05):
     """Check restrained trade-off points sit on or below the base curve.
 
-    The base curve is (t_c, sigma_t) over k_grid at base_ell; every other
+    The base curve is (t_c, sigma_t) over k_grid at ell = 0.5; every other
     point must satisfy sigma_t <= interp(curve at its t_c) * (1 + band),
     clamping to the curve's end values outside its t_c range. Returns
     (all_ok, violations).
     """
-    base = sorted((sweep[(k, base_ell)][0], sweep[(k, base_ell)][1])
-                  for k in k_grid)
+    base = sorted(sweep[(k, 0.5)][:2] for k in k_grid)
     bt = np.array([p[0] for p in base])
     bs = np.array([p[1] for p in base])
     violations = []
     for ell in ells:
-        if ell == base_ell:
+        if ell == 0.5:
             continue
         for k in k_grid:
             t_c, sigma_t, _ = sweep[(k, ell)]

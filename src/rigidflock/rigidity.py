@@ -131,14 +131,14 @@ def m_matrix(poses, graph: ObservationGraph) -> np.ndarray:
     return h @ h.T
 
 
-def is_positive_definite_minors(a: np.ndarray, sym_tol: float = 1e-9):
+def is_positive_definite_minors(a: np.ndarray):
     """(verdict, minors): PD iff every leading principal minor is positive."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
     scale = max(float(np.abs(a).max()), 1.0)
-    if np.abs(a - a.T).max() > sym_tol * scale:
+    if np.abs(a - a.T).max() > 1e-9 * scale:
         raise ValueError("matrix must be symmetric")
     minors = [float(np.linalg.det(a[:k, :k])) for k in range(1, n + 1)]
     return all(m > 0.0 for m in minors), minors

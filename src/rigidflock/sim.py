@@ -171,9 +171,9 @@ def _edge_commands(p_m, psi_m, s_r, s_t, r_hat, cache: _EdgeCache,
     """Per-edge restrained or proportional control terms of one step.
 
     At ell = 0.5 the restrained law equals the proportional one bit for bit,
-    so both take the proportional path and skip the covariances.
+    so it takes the proportional path and skips the covariances.
     """
-    if not cfg.restraining or cfg.ell == 0.5:
+    if cfg.ell == 0.5:
         return edge_terms(p_m, psi_m, cache.p_d, cache.psi_d)
     return edge_terms(p_m, psi_m, cache.p_d, cache.psi_d, cfg.quantile,
                       position_covariance(r_hat, s_r, s_t), var_psi)
@@ -285,8 +285,8 @@ def run(scenario: Scenario) -> RunRecord:
 def _summarize(disp_p, disp_psi, u_all, omega_all, f_hz, scenario):
     if disp_p.size < 10:
         return {}
-    mp = convergence_metrics_1d(disp_p, 0.0, f_hz)
-    mpsi = convergence_metrics_1d(disp_psi, 0.0, f_hz)
+    mp = convergence_metrics_1d(disp_p, f_hz)
+    mpsi = convergence_metrics_1d(disp_psi, f_hz)
     tail = max(mp["k_c"], disp_p.size // 2)
     stable_rms_p = float(np.sqrt(np.mean(disp_p[tail:] ** 2)))
     threshold = 0.5 * scenario.min_desired_distance()
@@ -315,10 +315,8 @@ def _poses_from_points(points) -> tuple:
     return tuple(AgentPose(p, 0.0) for p in pts)
 
 
-def builtin_scenarios(controller: ControllerConfig | None = None,
-                      sensor: SensorSpec | None = None,
-                      seed: int = 0) -> list:
-    """The four reference scenarios.
+def builtin_scenarios(seed: int = 0) -> list:
+    """The four reference scenarios, with the default controller and sensor.
 
     Two mutual agents 5 m apart; an equilateral triangle of side 5 m; six
     agents on a flat triangle (three vertices of side 10 m plus the three
@@ -326,8 +324,6 @@ def builtin_scenarios(controller: ControllerConfig | None = None,
     with half of the undirected observation pairs removed, still connected
     (removal uses a fixed internal stream so the scenario list is stable).
     """
-    controller = controller or ControllerConfig()
-    sensor = sensor or SensorSpec()
     side = 5.0
     h = side * math.sqrt(3.0) / 2.0
     pair = _poses_from_points([[0, 0, 0], [side, 0, 0]])
@@ -345,8 +341,7 @@ def builtin_scenarios(controller: ControllerConfig | None = None,
                                                               spawn_key=(9,)))
     sparse6 = remove_random_edges_keep_connected(full6, 0.5, sparse_rng)
     mk = lambda name, desired, graph: Scenario(
-        desired=desired, graph=graph, controller=controller, sensor=sensor,
-        seed=seed, name=name)
+        desired=desired, graph=graph, seed=seed, name=name)
     return [
         mk("pair", pair, ObservationGraph.complete(2)),
         mk("triangle3", tri, ObservationGraph.complete(3)),

@@ -278,6 +278,17 @@ def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
     ("sweep", dict(MINIMAL, horizon_steps=5), "horizon_steps"),
     ("sim1d", {"k_ef": 0.5, "n_agents": 0}, "n_agents"),
     ("sim1d", {"k_ef": 0.5, "horizon": -3}, "horizon"),
+    ("sim4d", "agents_edges", "scenario"),
+    ("sim4d", dict(MINIMAL, controller=[["k_e", 0.5]]), "controller"),
+    ("sim4d", dict(MINIMAL, sensor=[["rate_hz", 50.0]]), "sensor"),
+    ("sim1d", [["k_ef", 0.5]], "config"),
+    ("sim1d", {"k_ef": True}, "k_ef"),
+    ("sim4d", dict(MINIMAL, horizon_steps=True), "horizon_steps"),
+    ("sim4d", dict(MINIMAL, init_radius="20"), "init_radius"),
+    ("sim4d", dict(MINIMAL, horizon_steps=20.7), "horizon_steps"),
+    ("sim4d", dict(MINIMAL, seed="1"), "seed"),
+    ("sim4d", dict(MINIMAL, controller={"restraining": True}),
+     "restraining"),
 ])
 def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
                                             config, field):

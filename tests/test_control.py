@@ -406,13 +406,6 @@ def test_monotone_shrink_per_term_and_total():
     assert checked_total > 500
 
 
-def test_restraining_flag_dispatch():
-    meas, des = _random_pair(np.random.default_rng(9))
-    with pytest.raises(ValueError):
-        restrained_command([(meas, des)],
-                           ControllerConfig(restraining=False))
-
-
 def test_controller_config_validation():
     with pytest.raises(ValueError):
         ControllerConfig(ell=0.7)

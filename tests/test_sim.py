@@ -70,11 +70,9 @@ def test_formation_error_rigid_transform_invariance():
 
 
 def test_equilibrium_is_stationary_zero_noise():
-    for restraining, ell in [(False, 0.5), (True, 0.5), (True, 0.1)]:
-        scen = pair_scenario(
-            controller=ControllerConfig(k_e=0.5, ell=ell,
-                                        restraining=restraining),
-            sensor=quiet_sensor(), horizon_steps=5)
+    for ell in (0.5, 0.1):
+        scen = pair_scenario(controller=ControllerConfig(k_e=0.5, ell=ell),
+                             sensor=quiet_sensor(), horizon_steps=5)
         state = init_state(scen)
         state.positions[:] = [p.p for p in scen.desired]
         state.headings[:] = [p.psi for p in scen.desired]
