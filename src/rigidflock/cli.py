@@ -128,15 +128,29 @@ def _config(cls, data, name: str):
                   _typed(cls, data, name))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, _JSON_TYPES["float"]) and not isinstance(
+        value, bool)
+
+
+def _agent(a) -> AgentPose:
+    """A desired pose: ``p`` three JSON numbers, ``psi`` one (default 0)."""
+    p, psi = a["p"], a.get("psi", 0.0)
+    if not (isinstance(p, list) and len(p) == 3 and all(map(_is_number, p))
+            and _is_number(psi)):
+        raise TypeError(f"expected p: three numbers and psi: a number, got "
+                        f"{a!r}")
+    return AgentPose(p, psi)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario, naming the offending field on error."""
     data = _typed(Scenario, data, "scenario")
     for name in ("agents", "edges"):
         if name not in data:
             raise ScenarioError(f"missing field: {name}")
-    desired = _field("agents", lambda agents: tuple(
-        AgentPose(np.asarray(a["p"], dtype=float), float(a.get("psi", 0.0)))
-        for a in agents), data["agents"])
+    desired = _field("agents", lambda agents: tuple(map(_agent, agents)),
+                     data["agents"])
     graph = _field("edges", lambda edges: ObservationGraph.from_pairs(
         len(desired), edges), data["edges"])
     scen = Scenario(

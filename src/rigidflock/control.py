@@ -1,8 +1,12 @@
-"""Per-agent formation control laws.
+"""Formation control law on arrays of observed edges.
 
-One array kernel, ``edge_terms``, evaluates the law on a batch of E
-observed edges at once; the simulator calls it on every edge of a step and
-the per-agent commands below call it on one agent's measurement list.
+The law is one array kernel, ``edge_terms``, that evaluates the per-edge
+terms of E observed edges at once, and ``agent_commands``, which sums them
+per observer and applies the gain and the heading-rate cap. Edges are
+given as (E, 3) measured and desired relative positions, (E,) relative
+headings and, for the restrained law, the measurements' (E, 3, 3) position
+covariances and heading variances; ``obs_i`` (E,) names each edge's
+observer.
 
 * Proportional terms: plain gradient-descent action on the formation
   error, four terms per observed neighbor (two positional, one
@@ -28,49 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ensure_covariance3, rotate_z, std_normal_quantile,
-                   wrap_angle)
+from .core import rotate_z, std_normal_quantile, wrap_angle
 
 # Floor used wherever a covariance eigenvalue must stay positive (m^2 scale
 # 1e-8), far below any realistic sensor noise and far above double rounding.
 DELTA = 1e-4
-
-
-@dataclass(frozen=True)
-class NoisyRelativePose:
-    """Measured relative pose with the noise statistics attached to it."""
-
-    p_m: np.ndarray
-    psi_m: float
-    cov_p: np.ndarray
-    var_psi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_m",
-                           np.asarray(self.p_m, dtype=float).reshape(3))
-        object.__setattr__(self, "psi_m", wrap_angle(self.psi_m))
-        object.__setattr__(self, "cov_p", ensure_covariance3(self.cov_p))
-        if self.var_psi < 0.0:
-            raise ValueError("heading variance must be >= 0")
-
-
-@dataclass(frozen=True)
-class DesiredRelativePose:
-    p_d: np.ndarray
-    psi_d: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_d",
-                           np.asarray(self.p_d, dtype=float).reshape(3))
-        object.__setattr__(self, "psi_d", wrap_angle(self.psi_d))
-
-
-@dataclass(frozen=True)
-class ControlCommand:
-    """Body-frame velocity u (m/s) and heading rate omega (rad/s)."""
-
-    u: np.ndarray
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -97,24 +63,6 @@ class ControllerConfig:
     def quantile(self) -> float:
         """Phi^-1(ell); exactly 0.0 at ell = 0.5."""
         return std_normal_quantile(self.ell)
-
-
-def clamp_dz(y, a):
-    """Dead-zone clamp: y if <y, a> in (0, ||a||^2], else zero.
-
-    Scalars and same-shape vectors are both accepted. The half-open lower
-    bound nullifies opposing or orthogonal actions, the closed upper bound
-    passes y = a unchanged.
-    """
-    if np.isscalar(y) or isinstance(y, (float, int)):
-        prod = float(y) * float(a)
-        return float(y) if 0.0 < prod <= float(a) * float(a) else 0.0
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    prod = float(np.dot(y, a))
-    if 0.0 < prod <= float(np.dot(a, a)):
-        return y.copy()
-    return np.zeros_like(y)
 
 
 def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
@@ -199,23 +147,13 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
 
 
 def _clamp(y, a):
-    """Elementwise ``clamp_dz`` of scalars, by sign and magnitude.
+    """Dead-zone clamp of scalars: y where 0 < y a <= a^2, else 0.0.
 
-    Same as 0 < y a <= a^2, but tiny values cannot underflow the product.
+    Decided by sign and magnitude, so tiny values cannot underflow the
+    product.
     """
     return np.where((np.sign(y) * np.sign(a) > 0.0)
                     & (np.abs(y) <= np.abs(a)), y, 0.0)
-
-
-def _stack(measurements):
-    """Stack (measured, desired) pairs into the kernel's edge arrays."""
-    if not measurements:
-        raise ValueError("at least one observation is required")
-    meas, des = zip(*measurements)
-    return (np.array([m.p_m for m in meas]), np.array([m.psi_m for m in meas]),
-            np.array([d.p_d for d in des]), np.array([d.psi_d for d in des]),
-            np.array([m.cov_p for m in meas]),
-            np.array([m.var_psi for m in meas]))
 
 
 def agent_commands(obs_i, pos_terms, ang_terms, n: int,
@@ -229,33 +167,3 @@ def agent_commands(obs_i, pos_terms, ang_terms, n: int,
     np.add.at(omega, obs_i, ang_terms)
     cap = cfg.omega_cap / dt
     return cfg.k_e * u, np.clip(cfg.k_e * omega, -cap, cap)
-
-
-def _command(measurements, cfg: ControllerConfig, dt: float,
-             q=None) -> ControlCommand:
-    """One agent's command; q = Phi^-1(ell) or None, as in edge_terms."""
-    p_m, psi_m, p_d, psi_d, cov_p, var_psi = _stack(measurements)
-    terms = edge_terms(p_m, psi_m, p_d, psi_d, q, cov_p, var_psi)
-    u, omega = agent_commands(np.zeros(len(psi_m), int), *terms, 1, cfg, dt)
-    return ControlCommand(u[0], float(omega[0]))
-
-
-def proportional_command(measurements, cfg: ControllerConfig,
-                         dt: float = 1.0) -> ControlCommand:
-    """Gradient-descent command from (measured, desired) relative pose pairs.
-
-    u sums the direct position error and the rotation-compensated position
-    error; omega sums the bearing cross term and twice the wrapped heading
-    error. ``dt`` is the control period used by the heading-rate cap.
-    """
-    return _command(measurements, cfg, dt)
-
-
-def restrained_command(measurements, cfg: ControllerConfig,
-                       dt: float = 1.0) -> ControlCommand:
-    """Noise-restrained command; equals the proportional one at ell = 0.5.
-
-    Each term is clamped against its raw proportional counterpart, so any
-    term whose measured error falls inside its dead zone contributes zero.
-    """
-    return _command(measurements, cfg, dt, cfg.quantile)

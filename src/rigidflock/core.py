@@ -1,9 +1,8 @@
 """Shared geometric and statistical primitives.
 
 Wrapped angles on the half-open interval (-pi, pi], planar z-axis rotations,
-agent/relative pose containers, the stacked relative-pose map, covariance
-validation, and the standard normal CDF and its inverse. Everything here is
-pure and stateless.
+the agent pose container, the stacked relative-pose map, and the standard
+normal CDF and its inverse. Everything here is pure and stateless.
 """
 
 from __future__ import annotations
@@ -83,19 +82,6 @@ class AgentPose:
         object.__setattr__(self, "psi", wrap_angle(self.psi))
 
 
-@dataclass(frozen=True)
-class RelativePose:
-    """Relative pose of an observed agent in the observer's body frame."""
-
-    p_rel: np.ndarray
-    psi_rel: float
-
-    def __post_init__(self):
-        p = np.asarray(self.p_rel, dtype=float).reshape(3)
-        object.__setattr__(self, "p_rel", p)
-        object.__setattr__(self, "psi_rel", wrap_angle(self.psi_rel))
-
-
 def pose_arrays(poses):
     """(N, 3) positions and (N,) headings of a sequence of AgentPose."""
     return (np.array([q.p for q in poses], dtype=float).reshape(-1, 3),
@@ -116,34 +102,6 @@ def relative_poses(positions, headings, obs_i, obs_j):
     p_rel = rotate_z(positions[..., obs_j, :] - positions[..., obs_i, :],
                      -psi_i)
     return p_rel, wrap_angle(headings[..., obs_j] - psi_i)
-
-
-def relative_pose(q_i: AgentPose, q_j: AgentPose) -> RelativePose:
-    """Relative pose of agent j as seen from agent i (one edge of kappa)."""
-    p_rel, psi_rel = relative_poses(*pose_arrays((q_i, q_j)), [0], [1])
-    return RelativePose(p_rel[0], psi_rel[0])
-
-
-def ensure_covariance3(mat) -> np.ndarray:
-    """Validate a 3x3 position covariance: symmetric, positive semidefinite.
-
-    Returns a float64 copy. Symmetry is checked to 1e-12 relative to the
-    matrix scale and eigenvalues may be as small as -1e-12 * trace.
-    """
-    m = np.asarray(mat, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"covariance must be 3x3, got shape {m.shape}")
-    scale = max(float(np.abs(m).max()), 1.0)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("covariance must be finite")
-    if np.abs(m - m.T).max() > 1e-12 * scale:
-        raise ValueError("covariance must be symmetric")
-    tr = float(np.trace(m))
-    evals = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if evals[0] < -1e-12 * max(tr, 1.0):
-        raise ValueError(f"covariance must be positive semidefinite, "
-                         f"min eigenvalue {evals[0]:g}")
-    return m.copy()
 
 
 # --- standard normal distribution -------------------------------------------

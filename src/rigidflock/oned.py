@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import TAU, std_normal_cdf, std_normal_quantile
 
@@ -209,6 +208,9 @@ def expected_coherence_time(cfg: OneDConfig) -> float:
     steady-state density with the restrained sigma; adaptive quadrature on
     +-8 sigma, absolute tolerance 1e-6.
     """
+    # Imported here: scipy.integrate costs import time no other path needs.
+    from scipy.integrate import quad
+
     s_ss = sigma_ss_restrained(cfg)
     s_m = cfg.sigma_m
     ell = cfg.ell

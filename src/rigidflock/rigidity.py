@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SKEW_Z, RelativePose, pose_arrays, relative_poses,
-                   rotate_z, rotz, rotz_deriv, wrap_angle)
+from .core import (SKEW_Z, pose_arrays, relative_poses, rotate_z, rotz,
+                   rotz_deriv, wrap_angle)
 from .graphs import ObservationGraph
 
 
@@ -67,38 +67,33 @@ def rigidity_world(poses, graph: ObservationGraph) -> RigidityMatrix:
     return RigidityMatrix(h, edges)
 
 
-def rigidity_local(relative_poses, graph: ObservationGraph) -> RigidityMatrix:
+def rigidity_local(poses, graph: ObservationGraph) -> RigidityMatrix:
     """Jacobian with respect to body-frame pose perturbations.
 
-    ``relative_poses`` maps each directed edge (i, j) to the observed
-    RelativePose. Edge band: -I3 on the observer position, S^T p_ij on the
-    observer heading, R(psi_ij) on the observed position (the observed
-    agent's motion is expressed in its own body frame); heading row -1/+1.
+    Edge band of (i, j) with relative pose (p_ij, psi_ij): -I3 on the
+    observer position, S^T p_ij on the observer heading, R(psi_ij) on the
+    observed position (the observed agent's motion is expressed in its own
+    body frame); heading row -1/+1. Every band is scattered at once.
     """
-    edges = tuple(graph.sorted_edges())
-    h = np.zeros((4 * len(edges), 4 * graph.n))
-    for band, (i, j) in enumerate(edges):
-        rel = relative_poses[(i, j)]
-        r = 4 * band
-        h[r:r + 3, 4 * i:4 * i + 3] = -np.eye(3)
-        h[r:r + 3, 4 * i + 3] = SKEW_Z.T @ rel.p_rel
-        h[r:r + 3, 4 * j:4 * j + 3] = rotz(rel.psi_rel)
-        h[r + 3, 4 * i + 3] = -1.0
-        h[r + 3, 4 * j + 3] = 1.0
-    return RigidityMatrix(h, edges)
-
-
-def observed_relative_poses(poses, graph: ObservationGraph) -> dict:
-    """Noiseless relative pose of every directed edge."""
+    obs_i, obs_j = graph.edge_index()
     p_rel, psi_rel = _kappa(poses, graph)
-    return {edge: RelativePose(p_rel[e], psi_rel[e])
-            for e, edge in enumerate(graph.sorted_edges())}
+    band = np.arange(len(obs_i))
+    h = np.zeros((len(band), 4, graph.n, 4))
+    h[band, :3, obs_i, :3] = -np.eye(3)
+    h[band, :3, obs_i, 3] = p_rel @ SKEW_Z  # rows (S^T p_ij)^T
+    # rotate_z of the basis vectors gives the columns of R(psi_ij)
+    h[band, :3, obs_j, :3] = np.swapaxes(
+        rotate_z(np.eye(3), psi_rel[:, None]), 1, 2)
+    h[band, 3, obs_i, 3] = -1.0
+    h[band, 3, obs_j, 3] = 1.0
+    return RigidityMatrix(h.reshape(4 * len(band), 4 * graph.n),
+                          tuple(graph.sorted_edges()))
 
 
 def stacked_local_action(poses, desired, graph: ObservationGraph,
                          k_e: float) -> np.ndarray:
     """Gradient action k_e H_local^T e, reshaped to (N, 4) body-frame rates."""
-    h = rigidity_local(observed_relative_poses(poses, graph), graph)
+    h = rigidity_local(poses, graph)
     err = formation_error_stack(poses, desired, graph)
     return (k_e * h.matrix.T @ err).reshape(-1, 4)
 

@@ -6,6 +6,11 @@ position covariance is built with one radial eigenvalue (range) and two
 equal tangential eigenvalues (bearing), so the ellipsoid elongates along the
 line of sight. The controller receives exactly the covariance used to draw
 the sample; no estimation error is modeled.
+
+The model is three array calls: ``perturb`` turns true relative poses and
+standard normals into measurements, ``covariance_sigmas`` gives the floored
+radial and tangential sigmas at a range, and ``position_covariance`` the
+covariance they span.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import DELTA, NoisyRelativePose
-from .core import RelativePose
+from .control import DELTA
 
 
 @dataclass(frozen=True)
@@ -59,20 +63,6 @@ def position_covariance(r_hat, s_r, s_t) -> np.ndarray:
         * (r_hat[..., :, None] * r_hat[..., None, :])
 
 
-def covariance_for(p_true, spec: SensorSpec) -> np.ndarray:
-    """Position covariance at the true relative position.
-
-    sigma_r = dist_frac_sigma * d and sigma_t = bearing_sigma * d, both
-    floored at DELTA so C stays positive definite for zero-noise
-    configurations.
-    """
-    p = np.asarray(p_true, dtype=float).reshape(3)
-    d = np.linalg.norm(p, axis=-1)
-    if d == 0.0:
-        raise ValueError("relative distance must be positive")
-    return position_covariance(p / d, *covariance_sigmas(d, spec))
-
-
 def perturb(p_rel, psi_rel, z, spec: SensorSpec):
     """Noisy relative poses from true ones and standard normals z (..., 4).
 
@@ -92,22 +82,6 @@ def perturb(p_rel, psi_rel, z, spec: SensorSpec):
     p_m = p_rel + s_t[..., None] * z_p \
         + (s_r - s_t)[..., None] * z_r[..., None] * r_hat
     return p_m, psi_rel + spec.heading_sigma * z[..., 3], dist, r_hat
-
-
-def sample_measurement(rng: np.random.Generator, true_rel: RelativePose,
-                       spec: SensorSpec) -> NoisyRelativePose:
-    """Draw one noisy measurement of a true relative pose.
-
-    Four standard normals, position first. The attached statistics are
-    exactly the generating ones, floored.
-    """
-    try:
-        p_m, psi_m, d, r_hat = perturb(true_rel.p_rel, true_rel.psi_rel,
-                                       rng.standard_normal(4), spec)
-    except ArithmeticError as exc:
-        raise ValueError("relative distance must be positive") from exc
-    cov = position_covariance(r_hat, *covariance_sigmas(d, spec))
-    return NoisyRelativePose(p_m, psi_m, cov, spec.heading_sigma ** 2)
 
 
 def measurement_stream(master_seed: int, agent_id: int) -> np.random.Generator:

@@ -4,16 +4,70 @@ The package evaluates the law only through the array kernel
 ``rigidflock.control.edge_terms``. This module keeps the term-by-term scalar
 construction of the same law (setpoints, Gaussian surrogate, bearing
 rotation, dead-zone clamps) as an independent oracle: the hand-value tests
-pin it, and the property tests compare the kernel against it.
+pin it, and the property tests compare the kernel against it. Its inputs
+are one-edge records; ``stack`` turns a list of them into the kernel's
+edge arrays.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from rigidflock.control import (DELTA, DesiredRelativePose, NoisyRelativePose,
-                                clamp_dz)
+from rigidflock.control import DELTA
 from rigidflock.core import rotz, std_normal_quantile, wrap_angle
+from rigidflock.sensors import (SensorSpec, covariance_sigmas,
+                                position_covariance)
+
+
+class Meas(NamedTuple):
+    """One measured relative pose with its noise statistics."""
+
+    p_m: np.ndarray
+    psi_m: float
+    cov_p: np.ndarray
+    var_psi: float
+
+
+class Des(NamedTuple):
+    """One desired relative pose."""
+
+    p_d: np.ndarray
+    psi_d: float
+
+
+def covariance_at(p_true, spec=SensorSpec()) -> np.ndarray:
+    """The sensor's position covariance at a true relative position."""
+    d = np.linalg.norm(p_true, axis=-1)
+    return position_covariance(p_true / d, *covariance_sigmas(d, spec))
+
+
+def stack(pairs):
+    """The kernel's edge arrays (p_m, psi_m, p_d, psi_d, cov_p, var_psi) of
+    a list of (Meas, Des) pairs."""
+    meas, des = zip(*pairs)
+    return (np.array([m.p_m for m in meas]), np.array([m.psi_m for m in meas]),
+            np.array([d.p_d for d in des]), np.array([d.psi_d for d in des]),
+            np.array([m.cov_p for m in meas]),
+            np.array([m.var_psi for m in meas]))
+
+
+def clamp_dz(y, a):
+    """Dead-zone clamp: y if <y, a> in (0, ||a||^2], else zero.
+
+    Scalars and same-shape vectors are both accepted. The half-open lower
+    bound nullifies opposing or orthogonal actions, the closed upper bound
+    passes y = a unchanged.
+    """
+    if np.isscalar(y) or isinstance(y, (float, int)):
+        prod = float(y) * float(a)
+        return float(y) if 0.0 < prod <= float(a) * float(a) else 0.0
+    y = np.asarray(y, dtype=float)
+    a = np.asarray(a, dtype=float)
+    prod = float(np.dot(y, a))
+    if 0.0 < prod <= float(np.dot(a, a)):
+        return y.copy()
+    return np.zeros_like(y)
 
 
 def _sign(x: float) -> float:
@@ -26,8 +80,7 @@ def _tau_psi1(p_d: np.ndarray, p_m: np.ndarray) -> float:
     return p_d[0] * p_m[1] - p_d[1] * p_m[0]
 
 
-def setpoint_p1(meas: NoisyRelativePose, des: DesiredRelativePose,
-                ell: float) -> np.ndarray:
+def setpoint_p1(meas: Meas, des: Des, ell: float) -> np.ndarray:
     """Restrained target for the direct position term.
 
     The position error is reduced to a 1D Gaussian along the line from the
@@ -43,7 +96,7 @@ def setpoint_p1(meas: NoisyRelativePose, des: DesiredRelativePose,
     return meas.p_m + diff / math.sqrt(m2) * std_normal_quantile(ell)
 
 
-def approx_rotated_desired(meas: NoisyRelativePose, des: DesiredRelativePose):
+def approx_rotated_desired(meas: Meas, des: Des):
     """Gaussian surrogate for the heading-rotated desired position.
 
     Rotating the desired relative position by a noisy heading difference
@@ -76,8 +129,7 @@ def approx_rotated_desired(meas: NoisyRelativePose, des: DesiredRelativePose):
     return p_hat, cov_t
 
 
-def setpoint_p2(meas: NoisyRelativePose, des: DesiredRelativePose,
-                ell: float) -> np.ndarray:
+def setpoint_p2(meas: Meas, des: Des, ell: float) -> np.ndarray:
     """Restrained target for the rotation-compensated position term.
 
     Same construction as ``setpoint_p1`` but measured against the Gaussian
@@ -93,7 +145,7 @@ def setpoint_p2(meas: NoisyRelativePose, des: DesiredRelativePose,
     return meas.p_m + diff / math.sqrt(m2) * std_normal_quantile(ell)
 
 
-def bearing_sigma(meas: NoisyRelativePose) -> float:
+def bearing_sigma(meas: Meas) -> float:
     """Approximate bearing standard deviation of a position measurement.
 
     The position covariance is rotated so the bearing axis aligns with x;
@@ -110,8 +162,7 @@ def bearing_sigma(meas: NoisyRelativePose) -> float:
     return math.sqrt(max(c_r[1, 1], 0.0)) / norm
 
 
-def restrained_bearing_term(meas: NoisyRelativePose, des: DesiredRelativePose,
-                            ell: float) -> float:
+def restrained_bearing_term(meas: Meas, des: Des, ell: float) -> float:
     """Pre-clamp replacement of the bearing-coupled heading term.
 
     The measured position is rotated horizontally toward the desired bearing
@@ -130,16 +181,14 @@ def restrained_bearing_term(meas: NoisyRelativePose, des: DesiredRelativePose,
     return _tau_psi1(des.p_d, rotz(theta) @ meas.p_m)
 
 
-def setpoint_psi2(meas: NoisyRelativePose, des: DesiredRelativePose,
-                  ell: float) -> float:
+def setpoint_psi2(meas: Meas, des: Des, ell: float) -> float:
     """Restrained target heading for the heading-consensus term."""
     err = wrap_angle(meas.psi_m - des.psi_d)
     offset = math.sqrt(meas.var_psi) * _sign(err) * std_normal_quantile(ell)
     return wrap_angle(meas.psi_m + offset)
 
 
-def restrained_edge_terms(meas: NoisyRelativePose, des: DesiredRelativePose,
-                          ell: float):
+def restrained_edge_terms(meas: Meas, des: Des, ell: float):
     """(position term, heading term) of one edge, before gain and cap.
 
     Each term is clamped against its raw proportional counterpart. At

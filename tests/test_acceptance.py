@@ -16,8 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from rigidflock.control import ControllerConfig, DesiredRelativePose, \
-    NoisyRelativePose, proportional_command, restrained_command
+from rigidflock.control import ControllerConfig, agent_commands, edge_terms
 from rigidflock.core import AgentPose
 from rigidflock.graphs import ObservationGraph, is_connected
 from rigidflock.oned import (OneDConfig, dominance_check,
@@ -31,8 +30,9 @@ from rigidflock.rigidity import (formation_error_stack,
                                  is_positive_definite_minors, kappa_stack,
                                  lyapunov_rate, rigidity_world,
                                  single_edge_m)
-from rigidflock.sensors import SensorSpec, covariance_for
+from rigidflock.sensors import SensorSpec
 from rigidflock.sim import builtin_scenarios, run, sweep
+from scalar_law import Des, Meas, covariance_at, stack
 
 
 def report(cid: str, ok: bool, detail: str):
@@ -233,15 +233,17 @@ def test_c8_half_ell_degeneracy_exact():
             p_true = rng.uniform(-8, 8, 3)
             if np.linalg.norm(p_true) < 1.0:
                 p_true[0] += 3.0
-            cov = covariance_for(p_true, SensorSpec())
-            meas.append((NoisyRelativePose(
-                p_true + 0.5 * rng.standard_normal(3),
-                rng.uniform(-3, 3), cov, 0.26 ** 2),
-                DesiredRelativePose(rng.uniform(-8, 8, 3),
-                                    rng.uniform(-3, 3))))
-        r = restrained_command(meas, cfg, dt=0.1)
-        p = proportional_command(meas, cfg, dt=0.1)
-        if np.array_equal(r.u, p.u) and r.omega == p.omega:
+            meas.append((Meas(p_true + 0.5 * rng.standard_normal(3),
+                              rng.uniform(-3, 3), covariance_at(p_true),
+                              0.26 ** 2),
+                         Des(rng.uniform(-8, 8, 3), rng.uniform(-3, 3))))
+        p_m, psi_m, p_d, psi_d, cov, var_psi = stack(meas)
+        obs_i = np.zeros(len(meas), int)
+        r_u, r_omega = agent_commands(obs_i, *edge_terms(
+            p_m, psi_m, p_d, psi_d, cfg.quantile, cov, var_psi), 1, cfg, 0.1)
+        p_u, p_omega = agent_commands(obs_i, *edge_terms(
+            p_m, psi_m, p_d, psi_d, None), 1, cfg, 0.1)
+        if np.array_equal(r_u, p_u) and np.array_equal(r_omega, p_omega):
             exact += 1
     report("C8", exact == total,
            f"restrained == proportional exactly on {exact}/{total} "

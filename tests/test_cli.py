@@ -289,6 +289,17 @@ def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
     ("sim4d", dict(MINIMAL, seed="1"), "seed"),
     ("sim4d", dict(MINIMAL, controller={"restraining": True}),
      "restraining"),
+    ("sim4d", dict(MINIMAL, agents=[{"p": [0, 0, 0], "psi": True},
+                                    {"p": [5, 0, 0]}]), "agents"),
+    ("sim4d", dict(MINIMAL, agents=[{"p": [0, 0, 0]},
+                                    {"p": [5, False, 0]}]), "agents"),
+    ("sim4d", dict(MINIMAL, agents=[{"p": [0, 0, 0]},
+                                    {"p": [5, 0, 0], "psi": "0.5"}]),
+     "agents"),
+    ("sim4d", dict(MINIMAL, agents=[{"p": [0, 0, 0]},
+                                    {"p": ["5", 0, 0]}]), "agents"),
+    ("sim4d", dict(MINIMAL, agents=[{"p": [0, 0, 0]},
+                                    {"p": [[5, 0, 0]]}]), "agents"),
 ])
 def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
                                             config, field):

@@ -5,36 +5,47 @@ import math
 import numpy as np
 import pytest
 
-from rigidflock.control import (ControllerConfig, DELTA, DesiredRelativePose,
-                                NoisyRelativePose, clamp_dz,
-                                proportional_command, restrained_command)
+from rigidflock.control import (ControllerConfig, DELTA, agent_commands,
+                                edge_terms)
 from rigidflock.core import rotz, std_normal_quantile, wrap_angle
-from rigidflock.sensors import SensorSpec, covariance_for
-from scalar_law import (_tau_psi1, approx_rotated_desired, bearing_sigma,
+from scalar_law import (Des, Meas, _tau_psi1, approx_rotated_desired,
+                        bearing_sigma, clamp_dz, covariance_at,
                         restrained_bearing_term, setpoint_p1, setpoint_p2,
-                        setpoint_psi2)
+                        setpoint_psi2, stack)
 
 Q03 = std_normal_quantile(0.3)  # about -0.5244
 
 
 def _meas(p_m, psi_m=0.0, cov=None, var_psi=0.26 ** 2):
     cov = np.eye(3) if cov is None else cov
-    return NoisyRelativePose(p_m, psi_m, cov, var_psi)
+    return Meas(np.asarray(p_m, dtype=float), psi_m, cov, var_psi)
 
 
 def _des(p_d, psi_d=0.0):
-    return DesiredRelativePose(p_d, psi_d)
+    return Des(np.asarray(p_d, dtype=float), psi_d)
 
 
 def _random_pair(rng, noise=0.4):
     p_true = rng.uniform(-8, 8, 3)
     if np.linalg.norm(p_true) < 1.0:
         p_true[0] += 3.0
-    cov = covariance_for(p_true, SensorSpec())
-    meas = NoisyRelativePose(p_true + noise * rng.standard_normal(3),
-                             rng.uniform(-3, 3), cov, 0.26 ** 2)
-    des = DesiredRelativePose(rng.uniform(-8, 8, 3), rng.uniform(-3, 3))
+    meas = Meas(p_true + noise * rng.standard_normal(3), rng.uniform(-3, 3),
+                covariance_at(p_true), 0.26 ** 2)
+    des = Des(rng.uniform(-8, 8, 3), rng.uniform(-3, 3))
     return meas, des
+
+
+def _command(pairs, cfg, dt=1.0, q=None):
+    """One observer's (u, omega) over its (Meas, Des) pairs; q as in
+    edge_terms: None for the proportional law, cfg.quantile restrained."""
+    p_m, psi_m, p_d, psi_d, cov, var_psi = stack(pairs)
+    terms = edge_terms(p_m, psi_m, p_d, psi_d, q, cov, var_psi)
+    u, omega = agent_commands(np.zeros(len(pairs), int), *terms, 1, cfg, dt)
+    return u[0], omega[0]
+
+
+def _restrained(pairs, cfg, dt=1.0):
+    return _command(pairs, cfg, dt, cfg.quantile)
 
 
 # --- clamp ---------------------------------------------------------------
@@ -65,8 +76,8 @@ def test_clamp_vector():
 def test_proportional_equilibrium_is_zero():
     meas = _meas([2.0, -1.0, 0.5], 0.7)
     des = _des([2.0, -1.0, 0.5], 0.7)
-    cmd = proportional_command([(meas, des)], ControllerConfig(k_e=0.5))
-    assert np.all(cmd.u == 0.0) and cmd.omega == 0.0
+    u, omega = _command([(meas, des)], ControllerConfig(k_e=0.5))
+    assert np.all(u == 0.0) and omega == 0.0
 
 
 def test_proportional_single_neighbor_vertical_target():
@@ -75,9 +86,9 @@ def test_proportional_single_neighbor_vertical_target():
     k_e = 0.8
     des = _des([0.0, 0.0, 3.0])
     meas = _meas([1.0, 0.0, 3.0])
-    cmd = proportional_command([(meas, des)], ControllerConfig(k_e=k_e))
-    assert np.allclose(cmd.u, k_e * 2.0 * np.array([1.0, 0.0, 0.0]))
-    assert cmd.omega == 0.0
+    u, omega = _command([(meas, des)], ControllerConfig(k_e=k_e))
+    assert np.allclose(u, k_e * 2.0 * np.array([1.0, 0.0, 0.0]))
+    assert omega == 0.0
 
 
 def test_proportional_symmetric_neighbors_cancel():
@@ -85,9 +96,9 @@ def test_proportional_symmetric_neighbors_cancel():
     d2 = _des([-3.0, 0.0, 0.0])
     m1 = _meas([3.5, 0.0, 0.0])
     m2 = _meas([-3.5, 0.0, 0.0])
-    cmd = proportional_command([(m1, d1), (m2, d2)], ControllerConfig())
-    assert np.allclose(cmd.u, 0.0)
-    assert cmd.omega == pytest.approx(0.0, abs=1e-15)
+    u, omega = _command([(m1, d1), (m2, d2)], ControllerConfig())
+    assert np.allclose(u, 0.0)
+    assert omega == pytest.approx(0.0, abs=1e-15)
 
 
 def test_proportional_heading_rate_cap():
@@ -95,15 +106,8 @@ def test_proportional_heading_rate_cap():
     des = _des([100.0, 0.0, 0.0])
     meas = _meas([0.0, 100.0, 0.0])
     cfg = ControllerConfig(k_e=1.0, omega_cap=math.pi)
-    cmd = proportional_command([(meas, des)], cfg, dt=0.1)
-    assert abs(cmd.omega) == pytest.approx(math.pi / 0.1)
-
-
-def test_empty_measurement_list_rejected():
-    with pytest.raises(ValueError):
-        proportional_command([], ControllerConfig())
-    with pytest.raises(ValueError):
-        restrained_command([], ControllerConfig())
+    _, omega = _command([(meas, des)], cfg, dt=0.1)
+    assert abs(omega) == pytest.approx(math.pi / 0.1)
 
 
 # --- setpoints -----------------------------------------------------------
@@ -295,10 +299,10 @@ def test_restrained_equals_proportional_at_half():
     cfg = ControllerConfig(k_e=0.6, ell=0.5)
     for _ in range(500):
         meas = [_random_pair(rng) for _ in range(int(rng.integers(1, 4)))]
-        r = restrained_command(meas, cfg, dt=0.05)
-        p = proportional_command(meas, cfg, dt=0.05)
-        assert np.array_equal(r.u, p.u)
-        assert r.omega == p.omega
+        r_u, r_omega = _restrained(meas, cfg, dt=0.05)
+        p_u, p_omega = _command(meas, cfg, dt=0.05)
+        assert np.array_equal(r_u, p_u)
+        assert r_omega == p_omega
 
 
 def test_restrained_equilibrium_zero_without_heading_noise():
@@ -306,23 +310,23 @@ def test_restrained_equilibrium_zero_without_heading_noise():
     # is exactly zero at any ell
     for ell in (0.05, 0.2, 0.45):
         meas = _meas([3.0, 1.0, 0.5], psi_m=0.3,
-                     cov=covariance_for([3.0, 1.0, 0.5], SensorSpec()),
+                     cov=covariance_at(np.array([3.0, 1.0, 0.5])),
                      var_psi=0.0)
         des = _des([3.0, 1.0, 0.5], psi_d=0.3)
-        cmd = restrained_command([(meas, des)], ControllerConfig(ell=ell))
-        assert np.all(cmd.u == 0.0) and cmd.omega == 0.0
+        u, omega = _restrained([(meas, des)], ControllerConfig(ell=ell))
+        assert np.all(u == 0.0) and omega == 0.0
 
 
 def test_restrained_equilibrium_zero_small_ell():
     # with heading noise the rotated-desired surrogate is biased, but for
     # ell <= Phi(-1) its dead zone swallows the bias exactly
     meas = _meas([3.0, 1.0, 0.5], psi_m=0.3,
-                 cov=covariance_for([3.0, 1.0, 0.5], SensorSpec()),
+                 cov=covariance_at(np.array([3.0, 1.0, 0.5])),
                  var_psi=0.26 ** 2)
     des = _des([3.0, 1.0, 0.5], psi_d=0.3)
     for ell in (0.05, 0.1, 0.15):
-        cmd = restrained_command([(meas, des)], ControllerConfig(ell=ell))
-        assert np.all(cmd.u == 0.0) and cmd.omega == 0.0
+        u, omega = _restrained([(meas, des)], ControllerConfig(ell=ell))
+        assert np.all(u == 0.0) and omega == 0.0
 
 
 def test_restrained_all_terms_inside_dead_zone():
@@ -336,11 +340,11 @@ def test_restrained_all_terms_inside_dead_zone():
     # position error 0.3 sigma along x, heading error 0.2 sigma_psi
     p_m = p_d + np.array([0.3 * sigma, 0.0, 0.0])
     psi_m = psi_d + 0.2 * 0.3
-    meas = NoisyRelativePose(p_m, psi_m, sigma ** 2 * np.eye(3), var_psi)
-    des = DesiredRelativePose(p_d, psi_d)
+    meas = Meas(p_m, psi_m, sigma ** 2 * np.eye(3), var_psi)
+    des = Des(p_d, psi_d)
     assert 0.3 < q and 0.2 * 0.3 < q * 0.3
-    cmd = restrained_command([(meas, des)], ControllerConfig(ell=ell))
-    assert np.all(cmd.u == 0.0) and cmd.omega == 0.0
+    u, omega = _restrained([(meas, des)], ControllerConfig(ell=ell))
+    assert np.all(u == 0.0) and omega == 0.0
 
 
 def test_per_term_dead_zone_soundness():
@@ -369,7 +373,7 @@ def test_bearing_dead_zone_soundness_acute():
         alpha = rng.uniform(-1.4, 1.4)
         p_m = r_m * np.array([math.cos(alpha), math.sin(alpha), 0.0])
         p_d = np.array([r_d, 0.0, 0.0])
-        cov = covariance_for(p_m, SensorSpec())
+        cov = covariance_at(p_m)
         meas = _meas(p_m, cov=cov)
         des = _des(p_d)
         ell = float(rng.uniform(0.02, 0.45))
@@ -389,8 +393,8 @@ def test_monotone_shrink_per_term_and_total():
         l1, l2 = sorted(rng.uniform(0.02, 0.49, 2))
         if l2 - l1 < 1e-3:
             continue
-        u1 = restrained_command([(meas, des)], ControllerConfig(ell=l1)).u
-        u2 = restrained_command([(meas, des)], ControllerConfig(ell=l2)).u
+        u1, _ = _restrained([(meas, des)], ControllerConfig(ell=l1))
+        u2, _ = _restrained([(meas, des)], ControllerConfig(ell=l2))
         # per-term shrink of the direct position term
         a1 = meas.p_m - des.p_d
         t1a = clamp_dz(setpoint_p1(meas, des, l1) - des.p_d, a1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rigidflock.core import (AgentPose, ensure_covariance3, relative_pose, rotz,
+from rigidflock.core import (AgentPose, pose_arrays, relative_poses, rotz,
                              rotz_deriv, std_normal_cdf, std_normal_quantile,
                              wrap_angle)
 
@@ -68,20 +68,26 @@ def test_rotz_deriv_is_generator_product():
         assert np.allclose(rotz_deriv(psi), num, atol=1e-7)
 
 
+def _rel(q_i, q_j):
+    """(p_rel (3,), psi_rel) of agent j seen from agent i."""
+    p_rel, psi_rel = relative_poses(*pose_arrays((q_i, q_j)), [0], [1])
+    return p_rel[0], psi_rel[0]
+
+
 def test_relative_pose_examples():
     q = AgentPose([1.0, 2.0, 3.0], 0.4)
-    same = relative_pose(q, q)
-    assert np.allclose(same.p_rel, 0.0)
-    assert same.psi_rel == 0.0
+    p_rel, psi_rel = _rel(q, q)
+    assert np.allclose(p_rel, 0.0)
+    assert psi_rel == 0.0
 
     origin = AgentPose([0, 0, 0], 0.0)
     ahead = AgentPose([1, 0, 0], 0.0)
-    rel = relative_pose(origin, ahead)
-    assert np.allclose(rel.p_rel, [1, 0, 0])
+    p_rel, _ = _rel(origin, ahead)
+    assert np.allclose(p_rel, [1, 0, 0])
 
     turned = AgentPose([0, 0, 0], math.pi / 2)
-    rel = relative_pose(turned, AgentPose([1, 0, 0], 0.0))
-    assert np.allclose(rel.p_rel, [0, -1, 0], atol=1e-15)
+    p_rel, _ = _rel(turned, AgentPose([1, 0, 0], 0.0))
+    assert np.allclose(p_rel, [0, -1, 0], atol=1e-15)
 
 
 def test_relative_pose_reciprocity():
@@ -89,11 +95,10 @@ def test_relative_pose_reciprocity():
     for _ in range(50):
         qi = AgentPose(rng.uniform(-5, 5, 3), rng.uniform(-3, 3))
         qj = AgentPose(rng.uniform(-5, 5, 3), rng.uniform(-3, 3))
-        ij = relative_pose(qi, qj)
-        ji = relative_pose(qj, qi)
-        assert np.allclose(ji.p_rel, -rotz(ij.psi_rel).T @ ij.p_rel,
-                           atol=1e-12)
-        assert ji.psi_rel == pytest.approx(wrap_angle(-ij.psi_rel), abs=1e-12)
+        p_ij, psi_ij = _rel(qi, qj)
+        p_ji, psi_ji = _rel(qj, qi)
+        assert np.allclose(p_ji, -rotz(psi_ij).T @ p_ij, atol=1e-12)
+        assert psi_ji == pytest.approx(wrap_angle(-psi_ij), abs=1e-12)
 
 
 def test_agent_pose_validation():
@@ -127,13 +132,3 @@ def test_cdf_quantile_round_trip():
         x = std_normal_quantile(float(p))
         assert abs(std_normal_cdf(x) - p) <= 1e-9
 
-
-def test_ensure_covariance3():
-    c = ensure_covariance3(np.diag([1.0, 2.0, 3.0]))
-    assert c.shape == (3, 3)
-    with pytest.raises(ValueError):
-        ensure_covariance3(np.eye(2))
-    with pytest.raises(ValueError):
-        ensure_covariance3(np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, 1.0]]))
-    with pytest.raises(ValueError):
-        ensure_covariance3(np.diag([1.0, -0.5, 1.0]))

@@ -1,19 +1,20 @@
 """Properties of the array kernels over random edge batches and poses."""
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rigidflock.control import (ControllerConfig, DesiredRelativePose,
-                                NoisyRelativePose, _stack, edge_terms,
-                                proportional_command, restrained_command)
+from rigidflock.control import (ControllerConfig, _clamp, agent_commands,
+                                edge_terms)
 from rigidflock.core import (AgentPose, relative_poses, rotate_z, rotz,
                             std_normal_quantile, wrap_angle)
 from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
                                is_connected)
 from rigidflock.sensors import measurement_stream
 from rigidflock.sim import Scenario, _EdgeCache, _error_series, init_state
-from scalar_law import restrained_edge_terms
+from scalar_law import Des, Meas, restrained_edge_terms, stack
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
 angle = st.floats(-3.1, 3.1, allow_nan=False)
@@ -34,8 +35,8 @@ def edge(draw):
                                max_size=9))).reshape(3, 3)
     cov = a @ a.T + draw(st.floats(0.05, 1.0)) * np.eye(3)
     var_psi = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
-    meas = NoisyRelativePose(draw(position()), draw(angle), cov, var_psi)
-    return meas, DesiredRelativePose(draw(position()), draw(angle))
+    meas = Meas(draw(position()), draw(angle), cov, var_psi)
+    return meas, Des(draw(position()), draw(angle))
 
 
 edges = st.lists(edge(), min_size=1, max_size=4)
@@ -43,7 +44,7 @@ edges = st.lists(edge(), min_size=1, max_size=4)
 
 @given(edges, st.floats(0.001, 0.49))
 def test_kernel_matches_scalar_law(batch, ell):
-    p_m, psi_m, p_d, psi_d, cov, var_psi = _stack(batch)
+    p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
     pos, ang = edge_terms(p_m, psi_m, p_d, psi_d, std_normal_quantile(ell),
                           cov, var_psi)
     for e, (meas, des) in enumerate(batch):
@@ -53,13 +54,21 @@ def test_kernel_matches_scalar_law(batch, ell):
         assert abs(ang[e] - ref_ang) <= 1e-12 * scale ** 2
 
 
+def _both_laws(batch, cfg, dt=1.0):
+    """(u, omega) of one observer over batch, proportional and restrained."""
+    p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
+    obs_i = np.zeros(len(batch), int)
+    return [agent_commands(obs_i, *edge_terms(p_m, psi_m, p_d, psi_d, q, cov,
+                                              var_psi), 1, cfg, dt)
+            for q in (None, cfg.quantile)]
+
+
 @given(edges, st.floats(0.01, 10.0), st.floats(0.01, 1.0))
 def test_restrained_at_half_is_proportional_bitwise(batch, k_e, dt):
-    cfg = ControllerConfig(k_e=k_e, ell=0.5)
-    r = restrained_command(batch, cfg, dt)
-    p = proportional_command(batch, cfg, dt)
-    assert np.array_equal(r.u, p.u)
-    assert r.omega == p.omega
+    (p_u, p_omega), (r_u, r_omega) = _both_laws(
+        batch, ControllerConfig(k_e=k_e, ell=0.5), dt)
+    assert np.array_equal(r_u, p_u)
+    assert np.array_equal(r_omega, p_omega)
 
 
 def test_restrained_at_half_keeps_tiny_errors_and_ranges():
@@ -68,12 +77,30 @@ def test_restrained_at_half_keeps_tiny_errors_and_ranges():
     for p_m, p_d in (([1e-170, 1e-170, 0.0], [0.0, 0.0, 0.0]),
                      ([1e-170, 5e-324, 0.0], [0.0, 0.0, 0.0]),
                      ([1e-170, 1e-170, 0.0], [1.0, 0.0, 0.0])):
-        batch = [(NoisyRelativePose(p_m, 0.0, np.eye(3), 0.0),
-                  DesiredRelativePose(p_d, 0.0))]
-        r = restrained_command(batch, cfg)
-        p = proportional_command(batch, cfg)
-        assert np.array_equal(r.u, p.u) and r.omega == p.omega
-        assert np.any(r.u != 0.0) and (p_d[0] == 0.0 or r.omega != 0.0)
+        batch = [(Meas(np.array(p_m), 0.0, np.eye(3), 0.0),
+                  Des(np.array(p_d), 0.0))]
+        (p_u, p_omega), (r_u, r_omega) = _both_laws(batch, cfg)
+        assert np.array_equal(r_u, p_u) and np.array_equal(r_omega, p_omega)
+        assert np.any(r_u != 0.0) and (p_d[0] == 0.0 or r_omega[0] != 0.0)
+
+
+# Finite doubles with the extremes the clamp must survive: zero, the
+# smallest subnormal, values whose product underflows or overflows.
+clamp_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e300,
+                     -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.tuples(clamp_value, clamp_value), min_size=1,
+                max_size=20))
+def test_clamp_passes_y_iff_exact_dead_zone_predicate(pairs):
+    # the output is exactly y or +0.0, and y iff 0 < y a <= a^2 in exact
+    # rational arithmetic
+    y, a = np.array(pairs).T
+    want = [yk if 0 < Fraction(yk) * Fraction(ak) <= Fraction(ak) ** 2
+            else 0.0 for yk, ak in zip(y, a)]
+    assert _clamp(y, a).tobytes() == np.array(want).tobytes()
 
 
 @st.composite

@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from rigidflock.control import (ControllerConfig, DesiredRelativePose,
-                                NoisyRelativePose, proportional_command)
-from rigidflock.core import AgentPose, wrap_angle
+from rigidflock.control import ControllerConfig, agent_commands, edge_terms
+from rigidflock.core import AgentPose, pose_arrays, relative_poses, wrap_angle
 from rigidflock.graphs import ObservationGraph, is_connected
 from rigidflock.rigidity import (assemble_m_blockwise, e_ab_block,
                                  fec_raw_commands, formation_error_stack,
                                  gradient_consistency_residual,
                                  is_positive_definite_minors, kappa_stack,
-                                 lyapunov_rate, m_matrix,
-                                 observed_relative_poses, rigidity_local,
+                                 lyapunov_rate, m_matrix, rigidity_local,
                                  rigidity_world, single_edge_m,
                                  stacked_local_action)
 
@@ -85,7 +83,7 @@ def test_rigidity_world_finite_difference():
 def test_rigidity_local_band_structure():
     poses = (AgentPose([0, 0, 0], 0.0), AgentPose([3, 0, 0], 0.0))
     g = ObservationGraph.from_pairs(2, [(0, 1)])
-    h = rigidity_local(observed_relative_poses(poses, g), g).matrix
+    h = rigidity_local(poses, g).matrix
     assert np.allclose(h[:3, 0:3], -np.eye(3))
     # zero relative heading: the observed agent's block is the identity
     assert np.allclose(h[:3, 4:7], np.eye(3))
@@ -122,21 +120,13 @@ def test_closed_form_matches_controller_on_mutual_graph():
         poses = random_poses(rng, n)
         desired = random_poses(rng, n, box=4.0)
         raw = fec_raw_commands(poses, desired, g, cfg.k_e)
-        rel = observed_relative_poses(poses, g)
-        rel_d = observed_relative_poses(desired, g)
-        for a in range(n):
-            meas = []
-            for (i, j) in g.sorted_edges():
-                if i != a:
-                    continue
-                meas.append((
-                    NoisyRelativePose(rel[(i, j)].p_rel, rel[(i, j)].psi_rel,
-                                      np.eye(3), 0.0),
-                    DesiredRelativePose(rel_d[(i, j)].p_rel,
-                                        rel_d[(i, j)].psi_rel)))
-            cmd = proportional_command(meas, cfg, dt=1.0)
-            assert np.allclose(cmd.u, raw[a, :3], atol=1e-10)
-            assert cmd.omega == pytest.approx(raw[a, 3], abs=1e-10)
+        obs_i, obs_j = g.edge_index()
+        p_m, psi_m = relative_poses(*pose_arrays(poses), obs_i, obs_j)
+        p_d, psi_d = relative_poses(*pose_arrays(desired), obs_i, obs_j)
+        u, omega = agent_commands(obs_i, *edge_terms(p_m, psi_m, p_d, psi_d),
+                                  n, cfg, dt=1.0)
+        assert np.allclose(u, raw[:, :3], atol=1e-10)
+        assert np.allclose(omega, raw[:, 3], rtol=0.0, atol=1e-10)
 
 
 # --- M, minors, blocks --------------------------------------------------------

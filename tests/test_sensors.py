@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from rigidflock.control import DELTA
-from rigidflock.core import RelativePose, rotz
-from rigidflock.sensors import (SensorSpec, covariance_for, init_stream,
-                                measurement_stream, sample_measurement)
+from rigidflock.core import rotz
+from rigidflock.sensors import (SensorSpec, covariance_sigmas, init_stream,
+                                measurement_stream, perturb,
+                                position_covariance)
+from scalar_law import covariance_at
 
 
-def test_covariance_for_axis_aligned():
-    c = covariance_for([10.0, 0, 0], SensorSpec())
+def test_covariance_axis_aligned():
+    c = covariance_at(np.array([10.0, 0, 0]), SensorSpec())
     assert np.allclose(c, np.diag([1.0, 0.09, 0.09]), atol=1e-12)
 
 
@@ -23,20 +25,20 @@ def test_covariance_scaling_and_rotation():
         p = rng.uniform(-5, 5, 3)
         if np.linalg.norm(p) < 0.5:
             p[2] += 2.0
-        c = covariance_for(p, spec)
+        c = covariance_at(p, spec)
         # quadratic scaling
-        assert np.allclose(covariance_for(3.0 * p, spec), 9.0 * c,
+        assert np.allclose(covariance_at(3.0 * p, spec), 9.0 * c,
                            rtol=1e-12)
         # congruent rotation
         r = rotz(rng.uniform(-3, 3))
-        assert np.allclose(covariance_for(r @ p, spec), r @ c @ r.T,
+        assert np.allclose(covariance_at(r @ p, spec), r @ c @ r.T,
                            atol=1e-12)
 
 
 def test_covariance_eigenstructure():
     spec = SensorSpec()
     p = np.array([3.0, 4.0, 1.0])
-    c = covariance_for(p, spec)
+    c = covariance_at(p, spec)
     d = np.linalg.norm(p)
     r_hat = p / d
     assert c @ r_hat == pytest.approx((0.10 * d) ** 2 * r_hat, rel=1e-12)
@@ -46,8 +48,9 @@ def test_covariance_eigenstructure():
 
 
 def test_covariance_zero_distance_rejected():
-    with pytest.raises(ValueError):
-        covariance_for([0.0, 0.0, 0.0], SensorSpec())
+    with pytest.raises(ArithmeticError):
+        perturb(np.array([[1.0, 0, 0], [0, 0, 0]]), np.zeros(2),
+                np.zeros((2, 4)), SensorSpec())
 
 
 def test_sensor_spec_validation():
@@ -60,31 +63,37 @@ def test_sensor_spec_validation():
 def test_zero_noise_measurement_is_exact_with_floor():
     spec = SensorSpec(dist_frac_sigma=0.0, bearing_sigma=0.0,
                       heading_sigma=0.0)
-    rel = RelativePose([2.0, 1.0, 0.5], 0.3)
-    rng = np.random.default_rng(7)
-    meas = sample_measurement(rng, rel, spec)
-    assert np.allclose(meas.p_m, rel.p_rel, atol=1e-15)
-    assert meas.psi_m == rel.psi_rel
-    assert np.allclose(meas.cov_p, DELTA ** 2 * np.eye(3))
-    assert meas.var_psi == 0.0
+    p_rel = np.array([2.0, 1.0, 0.5])
+    z = np.random.default_rng(7).standard_normal(4)
+    p_m, psi_m, dist, r_hat = perturb(p_rel, 0.3, z, spec)
+    assert np.allclose(p_m, p_rel, atol=1e-15)
+    assert psi_m == 0.3
+    assert np.allclose(position_covariance(r_hat,
+                                           *covariance_sigmas(dist, spec)),
+                       DELTA ** 2 * np.eye(3))
 
 
 def test_attached_covariance_equals_generating_one():
+    # the controller's covariance C is the one perturb draws from: the
+    # position moves by A z with A A^T = C, the heading by heading_sigma z_4
     spec = SensorSpec()
-    rel = RelativePose([4.0, -3.0, 2.0], -0.8)
-    meas = sample_measurement(np.random.default_rng(1), rel, spec)
-    assert np.array_equal(meas.cov_p, covariance_for(rel.p_rel, spec))
-    assert meas.var_psi == spec.heading_sigma ** 2
+    p_rel = np.array([4.0, -3.0, 2.0])
+    z = np.eye(4)
+    p_m, psi_m, dist, r_hat = perturb(np.broadcast_to(p_rel, (4, 3)),
+                                      np.full(4, -0.8), z, spec)
+    a_t = p_m[:3] - p_rel  # row k is A e_k
+    c = position_covariance(r_hat[0], *covariance_sigmas(dist[0], spec))
+    assert np.allclose(a_t.T @ a_t, c, rtol=0.0, atol=1e-12 * np.abs(c).max())
+    assert np.array_equal(p_m[3], p_rel)
+    assert np.array_equal(psi_m, -0.8 + spec.heading_sigma * z[:, 3])
 
 
 def test_fixed_seed_stream_is_bit_identical():
     spec = SensorSpec()
-    rel = RelativePose([5.0, 1.0, -2.0], 0.2)
-    a = [sample_measurement(measurement_stream(9, 0), rel, spec)
-         for _ in range(1)][0]
-    b = [sample_measurement(measurement_stream(9, 0), rel, spec)
-         for _ in range(1)][0]
-    assert np.array_equal(a.p_m, b.p_m) and a.psi_m == b.psi_m
+    p_rel = np.array([5.0, 1.0, -2.0])
+    a = perturb(p_rel, 0.2, measurement_stream(9, 0).standard_normal(4), spec)
+    b = perturb(p_rel, 0.2, measurement_stream(9, 0).standard_normal(4), spec)
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_streams_differ_across_agents_and_runs():
@@ -99,19 +108,16 @@ def test_streams_differ_across_agents_and_runs():
 
 def test_empirical_moments_match_model():
     spec = SensorSpec()
-    rel = RelativePose([6.0, 2.0, -1.0], 0.4)
+    p_rel = np.array([6.0, 2.0, -1.0])
     rng = np.random.default_rng(123)
     n = 150_000
-    draws = np.empty((n, 3))
-    psis = np.empty(n)
-    for k in range(n):
-        m = sample_measurement(rng, rel, spec)
-        draws[k] = m.p_m
-        psis[k] = m.psi_m
-    c_model = covariance_for(rel.p_rel, spec)
+    draws, psis, _, _ = perturb(np.broadcast_to(p_rel, (n, 3)),
+                                np.full(n, 0.4), rng.standard_normal((n, 4)),
+                                spec)
+    c_model = covariance_at(p_rel, spec)
     # unbiased mean, within 4 sigma / sqrt(n) per component
     sig_max = math.sqrt(np.diag(c_model).max())
-    assert np.abs(draws.mean(axis=0) - rel.p_rel).max() \
+    assert np.abs(draws.mean(axis=0) - p_rel).max() \
         <= 4.0 * sig_max / math.sqrt(n)
     c_emp = np.cov(draws.T)
     rel_err = np.linalg.norm(c_emp - c_model) / np.linalg.norm(c_model)
