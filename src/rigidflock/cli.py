@@ -102,9 +102,21 @@ def _field(name: str, convert, value):
         raise ScenarioError(f"invalid field {name}: {exc}") from exc
 
 
-# JSON types accepted for each annotated type of a dataclass field; no
-# field takes true/false, which Python's isinstance counts as an int.
-_JSON_TYPES = {"float": (int, float), "int": int, "str": str}
+def _is_number(value) -> bool:
+    """A JSON number that is a finite double: not true/false (which
+    isinstance counts as ints), NaN, an infinity or an integer out of the
+    double range."""
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+# JSON types accepted for the other annotated types of a dataclass field
+# (a float field takes _is_number); no field takes true/false, which
+# Python's isinstance counts as an int.
+_JSON_TYPES = {"int": int, "str": str}
 
 
 def _typed(cls, data, name: str) -> dict:
@@ -114,8 +126,12 @@ def _typed(cls, data, name: str) -> dict:
                             f"{data!r}")
     for f in dataclasses.fields(cls):
         value = data.get(f.name)
-        if f.name in data and (isinstance(value, bool) or not isinstance(
-                value, _JSON_TYPES.get(f.type, object))):
+        if f.type == "float":
+            valid = _is_number(value)
+        else:
+            valid = not isinstance(value, bool) and isinstance(
+                value, _JSON_TYPES.get(f.type, object))
+        if f.name in data and not valid:
             raise ScenarioError(f"invalid field {f.name} in {name}: expected "
                                 f"{f.type}, got {value!r}")
     return data
@@ -126,11 +142,6 @@ def _config(cls, data, name: str):
     # An unknown or missing field fails here, and the TypeError names it.
     return _field(name, lambda fields: cls(**fields),
                   _typed(cls, data, name))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, _JSON_TYPES["float"]) and not isinstance(
-        value, bool)
 
 
 def _agent(a) -> AgentPose:

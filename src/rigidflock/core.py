@@ -56,12 +56,6 @@ def rotz(psi: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rotz_deriv(psi: float) -> np.ndarray:
-    """Derivative of rotz with respect to psi; equals SKEW_Z @ rotz(psi)."""
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
-
-
 @dataclass(frozen=True)
 class AgentPose:
     """World pose of one agent: position p (m) and heading psi (rad).

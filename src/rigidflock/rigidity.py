@@ -4,30 +4,23 @@ The stacked relative-pose map kappa takes all agent world poses to the
 stacked observed relative poses (4 rows per directed edge, edges in
 lexicographic order). Its Jacobian H is the rigidity matrix; k_e H^T applied
 to the formation error is the gradient-descent action the per-agent
-controller realizes. This module builds H in the world frame and in the
-observers' local frames, evaluates M = H H^T and its leading principal
-minors for positive-definiteness audits, assembles M blockwise from
-closed-form 4x4 edge-pair blocks, and evaluates the Lyapunov decay rate
--2 k_e e^T M e.
+controller realizes. Every result here derives from one array of world-frame
+edge bands (`_bands`): H_world as a (4E, 4N) array, H_local = H_world
+blkdiag(R(psi_v), 1) by the chain rule, M = H H^T with its leading principal
+minors for positive-definiteness audits, M assembled blockwise from the
+bands' 4x4 edge-pair products, and the Lyapunov decay rate -2 k_e e^T M e.
+
+H vanishes on the four rigid motions (a common translation, and a common
+yaw about world z), so rank H <= 4N - 4 and M, which is 4E x 4E, can be
+positive definite only when E <= N - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (SKEW_Z, pose_arrays, relative_poses, rotate_z, rotz,
-                   rotz_deriv, wrap_angle)
+from .core import SKEW_Z, pose_arrays, relative_poses, rotate_z, wrap_angle
 from .graphs import ObservationGraph
-
-
-@dataclass(frozen=True)
-class RigidityMatrix:
-    """Dense (4E x 4N) Jacobian with its row-band edge ordering."""
-
-    matrix: np.ndarray
-    edges: tuple
 
 
 def _kappa(poses, graph: ObservationGraph):
@@ -50,44 +43,54 @@ def formation_error_stack(poses, desired, graph: ObservationGraph
     return err.ravel()
 
 
-def rigidity_world(poses, graph: ObservationGraph) -> RigidityMatrix:
-    """Jacobian of kappa with respect to world-frame pose perturbations.
+def _rotations(psi: np.ndarray) -> np.ndarray:
+    """R(psi) about z, (..., 3, 3) for an angle array (...)."""
+    # rotate_z of the basis vectors gives the columns of R(psi)
+    return np.swapaxes(rotate_z(np.eye(3), psi[..., None]), -1, -2)
 
-    Edge (i, j) band: -R(psi_i)^T on p_i, dR(psi_i)/dpsi^T (p_j - p_i) on
-    psi_i, R(psi_i)^T on p_j; heading row carries -1 and +1.
+
+def _bands(poses, graph: ObservationGraph):
+    """obs_i, obs_j and the world-frame edge bands as (E, 2, 4, 4) blocks.
+
+    blocks[e, 0] holds band e's columns of its observer i, blocks[e, 1]
+    those of its observed agent j: -R(psi_i)^T and +R(psi_i)^T on the
+    positions, a heading row of -1 and +1, and S^T p_ij on the observer
+    heading.
     """
-    edges = tuple(graph.sorted_edges())
-    h = np.zeros((4 * len(edges), 4 * graph.n))
-    for band, edge in enumerate(edges):
-        r = 4 * band
-        for v, (pos, w, hv) in _edge_vertex_blocks(edge, poses).items():
-            h[r:r + 3, 4 * v:4 * v + 3] = pos
-            h[r:r + 3, 4 * v + 3] = w
-            h[r + 3, 4 * v + 3] = hv
-    return RigidityMatrix(h, edges)
-
-
-def rigidity_local(poses, graph: ObservationGraph) -> RigidityMatrix:
-    """Jacobian with respect to body-frame pose perturbations.
-
-    Edge band of (i, j) with relative pose (p_ij, psi_ij): -I3 on the
-    observer position, S^T p_ij on the observer heading, R(psi_ij) on the
-    observed position (the observed agent's motion is expressed in its own
-    body frame); heading row -1/+1. Every band is scattered at once.
-    """
+    positions, headings = pose_arrays(poses)
     obs_i, obs_j = graph.edge_index()
-    p_rel, psi_rel = _kappa(poses, graph)
+    p_rel, _ = relative_poses(positions, headings, obs_i, obs_j)
+    rot_t = _rotations(-headings[obs_i])
+    blocks = np.zeros((len(obs_i), 2, 4, 4))
+    blocks[:, 0, :3, :3] = -rot_t
+    blocks[:, 1, :3, :3] = rot_t
+    blocks[:, 0, :3, 3] = p_rel @ SKEW_Z  # rows (S^T p_ij)^T
+    blocks[:, :, 3, 3] = [-1.0, 1.0]
+    return obs_i, obs_j, blocks
+
+
+def rigidity_world(poses, graph: ObservationGraph) -> np.ndarray:
+    """(4E, 4N) Jacobian of kappa for world-frame pose perturbations."""
+    obs_i, obs_j, blocks = _bands(poses, graph)
     band = np.arange(len(obs_i))
     h = np.zeros((len(band), 4, graph.n, 4))
-    h[band, :3, obs_i, :3] = -np.eye(3)
-    h[band, :3, obs_i, 3] = p_rel @ SKEW_Z  # rows (S^T p_ij)^T
-    # rotate_z of the basis vectors gives the columns of R(psi_ij)
-    h[band, :3, obs_j, :3] = np.swapaxes(
-        rotate_z(np.eye(3), psi_rel[:, None]), 1, 2)
-    h[band, 3, obs_i, 3] = -1.0
-    h[band, 3, obs_j, 3] = 1.0
-    return RigidityMatrix(h.reshape(4 * len(band), 4 * graph.n),
-                          tuple(graph.sorted_edges()))
+    h[band, :, obs_i] = blocks[:, 0]
+    h[band, :, obs_j] = blocks[:, 1]
+    return h.reshape(4 * len(band), 4 * graph.n)
+
+
+def rigidity_local(poses, graph: ObservationGraph) -> np.ndarray:
+    """(4E, 4N) Jacobian for body-frame pose perturbations.
+
+    A body-frame step of agent v is R(psi_v) times a world-frame step, so
+    H_local = H_world blkdiag(R(psi_v), 1).
+    """
+    _, headings = pose_arrays(poses)
+    v = np.arange(graph.n)
+    frames = np.zeros((graph.n, 4, graph.n, 4))
+    frames[v, :3, v, :3] = _rotations(headings)
+    frames[v, 3, v, 3] = 1.0
+    return rigidity_world(poses, graph) @ frames.reshape(4 * graph.n, -1)
 
 
 def stacked_local_action(poses, desired, graph: ObservationGraph,
@@ -95,7 +98,7 @@ def stacked_local_action(poses, desired, graph: ObservationGraph,
     """Gradient action k_e H_local^T e, reshaped to (N, 4) body-frame rates."""
     h = rigidity_local(poses, graph)
     err = formation_error_stack(poses, desired, graph)
-    return (k_e * h.matrix.T @ err).reshape(-1, 4)
+    return (k_e * h.T @ err).reshape(-1, 4)
 
 
 def fec_raw_commands(poses, desired, graph: ObservationGraph,
@@ -122,7 +125,7 @@ def fec_raw_commands(poses, desired, graph: ObservationGraph,
 
 def m_matrix(poses, graph: ObservationGraph) -> np.ndarray:
     """M = H_world H_world^T, the error-dynamics matrix of the flow."""
-    h = rigidity_world(poses, graph).matrix
+    h = rigidity_world(poses, graph)
     return h @ h.T
 
 
@@ -158,52 +161,18 @@ def single_edge_m(p12_world) -> np.ndarray:
     ])
 
 
-def _edge_vertex_blocks(edge, poses):
-    """Per-vertex column blocks of one world-frame edge band.
-
-    Returns {vertex: (P, w, h)} with P the 3x3 position block, w the 3-vector
-    heading column and h the heading-row entry of that vertex.
-    """
-    i, j = edge
-    p_w = poses[j].p - poses[i].p
-    rot_t = rotz(poses[i].psi).T
-    return {
-        i: (-rot_t, rotz_deriv(poses[i].psi).T @ p_w, -1.0),
-        j: (rot_t, np.zeros(3), 1.0),
-    }
-
-
-def e_ab_block(edge_a, edge_b, poses) -> np.ndarray:
-    """Closed-form 4x4 block of M for one ordered edge pair.
-
-    Zero when the edges share no vertex. Two edges into a shared vertex give
-    a pure rotation block (the identity once headings agree); a repeated
-    edge gives the single-edge form; tail-sharing and opposite-direction
-    pairs mix the heading columns of both observers. Assembling every block
-    reproduces M = H H^T without constructing H.
-    """
-    blocks_a = _edge_vertex_blocks(tuple(edge_a), poses)
-    blocks_b = _edge_vertex_blocks(tuple(edge_b), poses)
-    shared = set(blocks_a) & set(blocks_b)
-    out = np.zeros((4, 4))
-    for v in shared:
-        pa, wa, ha = blocks_a[v]
-        pb, wb, hb = blocks_b[v]
-        out[:3, :3] += pa @ pb.T + np.outer(wa, wb)
-        out[:3, 3] += wa * hb
-        out[3, :3] += ha * wb
-        out[3, 3] += ha * hb
-    return out
-
-
 def assemble_m_blockwise(graph: ObservationGraph, poses) -> np.ndarray:
-    """M assembled from e_ab_block over all ordered edge pairs."""
-    edges = graph.sorted_edges()
-    m = np.zeros((4 * len(edges), 4 * len(edges)))
-    for a, ea in enumerate(edges):
-        for b, eb in enumerate(edges):
-            m[4 * a:4 * a + 4, 4 * b:4 * b + 4] = e_ab_block(ea, eb, poses)
-    return m
+    """M from its 4x4 edge-pair blocks, without forming H.
+
+    Block (a, b) is the sum over the vertices v that edges a and b share of
+    B_a,v B_b,v^T: zero for disjoint edges, the single-edge form on the
+    diagonal. All pairs are one einsum over the shared-vertex mask.
+    """
+    obs_i, obs_j, blocks = _bands(poses, graph)
+    ends = np.stack([obs_i, obs_j], axis=1)
+    shared = ends[:, :, None, None] == ends[None, None]
+    m = np.einsum("asbt,asij,btkj->aibk", shared, blocks, blocks)
+    return m.reshape(4 * len(ends), 4 * len(ends))
 
 
 def lyapunov_rate(poses, graph: ObservationGraph, e_f: np.ndarray,

@@ -163,7 +163,7 @@ def test_c6_gradient_consistency_and_jacobian():
                         for _ in range(n))
         worst_resid = max(worst_resid, gradient_consistency_residual(
             poses, desired, g, 0.5))
-        h = rigidity_world(poses, g).matrix
+        h = rigidity_world(poses, g)
         dq = rng.uniform(-1, 1, 4 * n)
         plus = tuple(AgentPose(p.p + eps * dq[4 * a:4 * a + 3],
                                p.psi + eps * dq[4 * a + 3])

@@ -1,6 +1,11 @@
 """Command-line interface, serialization, manifests."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +266,10 @@ def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
 
 
+class RawJSON(str):
+    """Config text written as given: a number json.dumps cannot spell."""
+
+
 @pytest.mark.parametrize("command, config, field", [
     ("sim1d", {"k_ef": 0.5, "gain": 1.0}, "gain"),
     ("sim1d", {"ell": 0.3}, "k_ef"),
@@ -300,11 +309,22 @@ def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
                                     {"p": ["5", 0, 0]}]), "agents"),
     ("sim4d", dict(MINIMAL, agents=[{"p": [0, 0, 0]},
                                     {"p": [[5, 0, 0]]}]), "agents"),
+    # numbers that Python's json reads but no double holds finitely
+    ("sim4d", dict(MINIMAL, agents=[{"p": [10 ** 400, 0, 0]},
+                                    {"p": [5, 0, 0]}]), "agents"),
+    ("sim4d", dict(MINIMAL, init_radius=10 ** 400), "init_radius"),
+    pytest.param("sim4d", RawJSON(json.dumps(MINIMAL)[:-1]
+                                  + ', "init_radius": 1e400}'),
+                 "init_radius", id="sim4d-init_radius_1e400-init_radius"),
+    ("sim4d", dict(MINIMAL, controller={"k_e": math.nan}), "k_e"),
+    ("sim4d", dict(MINIMAL, sensor={"rate_hz": math.inf}), "rate_hz"),
+    ("sim1d", {"k_ef": 0.5, "sigma_m": math.nan}, "sigma_m"),
 ])
 def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
                                             config, field):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, RawJSON)
+                    else json.dumps(config))
     flag = "--config" if command == "sim1d" else "--scenario"
     rc = main([command, flag, str(path), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
@@ -338,3 +358,13 @@ def test_sweep_accepts_shortest_horizon(tmp_path):
                  "--ells", "0.2,0.5", "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 3 and rows[1].split(",")[3] != ""
+
+
+def test_import_does_not_load_scipy_integrate():
+    # quad is imported inside expected_coherence_time, so loading the
+    # package or the CLI does not pay for scipy.integrate.
+    code = ("import sys, rigidflock, rigidflock.cli; "
+            "assert 'scipy.integrate' not in sys.modules")
+    src = str(Path(cli.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from rigidflock.core import (AgentPose, pose_arrays, relative_poses, rotz,
-                             rotz_deriv, std_normal_cdf, std_normal_quantile,
-                             wrap_angle)
+                             std_normal_cdf, std_normal_quantile, wrap_angle)
 
 TAU = 2 * math.pi
 
@@ -60,12 +59,6 @@ def test_rotz_basics():
     r = rotz(0.7)
     assert abs(np.linalg.det(r) - 1.0) < 1e-14
     assert np.allclose(r @ r.T, np.eye(3), atol=1e-15)
-
-
-def test_rotz_deriv_is_generator_product():
-    for psi in (-2.0, 0.0, 0.3, 1.9):
-        num = (rotz(psi + 1e-7) - rotz(psi - 1e-7)) / 2e-7
-        assert np.allclose(rotz_deriv(psi), num, atol=1e-7)
 
 
 def _rel(q_i, q_j):

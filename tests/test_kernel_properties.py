@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from rigidflock.control import (ControllerConfig, _clamp, agent_commands,
                                 edge_terms)
-from rigidflock.core import (AgentPose, relative_poses, rotate_z, rotz,
-                            std_normal_quantile, wrap_angle)
+from rigidflock.core import (SKEW_Z, AgentPose, relative_poses, rotate_z,
+                            rotz, std_normal_quantile, wrap_angle)
 from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
                                is_connected)
+from rigidflock.rigidity import rigidity_local, rigidity_world
 from rigidflock.sensors import measurement_stream
 from rigidflock.sim import Scenario, _EdgeCache, _error_series, init_state
 from scalar_law import Des, Meas, restrained_edge_terms, stack
@@ -195,3 +196,46 @@ def test_run_noise_equals_per_step_draws_bitwise(scen):
         want = np.concatenate([rng.standard_normal((d, 4))
                                for rng, d in zip(streams, degrees)])
         assert noise[k].tobytes() == want.tobytes()
+
+
+@st.composite
+def connected_poses(draw):
+    """Poses of n = 2..6 agents and a connected edge set over them."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    # a spine in drawn directions keeps the graph connected
+    spine = [(i, i + 1) if draw(st.booleans()) else (i + 1, i)
+             for i in range(n - 1)]
+    graph = ObservationGraph.from_pairs(n, spine + draw(st.lists(
+        st.sampled_from(pairs), unique=True)))
+    pos = np.array(draw(st.lists(coord, min_size=3 * n, max_size=3 * n)))
+    psi = draw(st.lists(angle, min_size=n, max_size=n))
+    poses = tuple(AgentPose(p, a) for p, a in zip(pos.reshape(n, 3), psi))
+    return poses, graph
+
+
+@given(connected_poses(), st.sampled_from(["x", "y", "z", "yaw"]))
+def test_world_jacobian_annihilates_rigid_motions(case, motion):
+    # a common translation, or a common yaw about world z (dp_v = S p_v,
+    # dpsi_v = 1), leaves every relative pose unchanged to first order
+    poses, graph = case
+    dq = np.zeros((graph.n, 4))
+    if motion == "yaw":
+        dq[:, :3] = [SKEW_Z @ q.p for q in poses]
+        dq[:, 3] = 1.0
+    else:
+        dq[:, "xyz".index(motion)] = 1.0
+    h = rigidity_world(poses, graph)
+    scale = np.abs(h).max() * np.abs(dq).max()
+    assert np.abs(h @ dq.ravel()).max() <= 1e-12 * scale
+
+
+@given(connected_poses())
+def test_local_jacobian_is_world_jacobian_in_body_frames(case):
+    # a body-frame step of agent v is R(psi_v) times a world-frame step
+    poses, graph = case
+    want = rigidity_world(poses, graph).copy()
+    for v, q in enumerate(poses):
+        want[:, 4 * v:4 * v + 3] = want[:, 4 * v:4 * v + 3] @ rotz(q.psi)
+    got = rigidity_local(poses, graph)
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)

@@ -8,8 +8,8 @@ import pytest
 from rigidflock.control import ControllerConfig, agent_commands, edge_terms
 from rigidflock.core import AgentPose, pose_arrays, relative_poses, wrap_angle
 from rigidflock.graphs import ObservationGraph, is_connected
-from rigidflock.rigidity import (assemble_m_blockwise, e_ab_block,
-                                 fec_raw_commands, formation_error_stack,
+from rigidflock.rigidity import (assemble_m_blockwise, fec_raw_commands,
+                                 formation_error_stack,
                                  gradient_consistency_residual,
                                  is_positive_definite_minors, kappa_stack,
                                  lyapunov_rate, m_matrix, rigidity_local,
@@ -39,7 +39,7 @@ def random_connected_graph(rng, n):
 def test_rigidity_world_single_edge_structure():
     poses = (AgentPose([0, 0, 0], 0.0), AgentPose([2, 1, 0.5], 0.0))
     g = ObservationGraph.from_pairs(2, [(0, 1)])
-    h = rigidity_world(poses, g).matrix
+    h = rigidity_world(poses, g)
     assert h.shape == (4, 8)
     assert np.allclose(h[:3, 0:3], -np.eye(3))
     assert np.allclose(h[:3, 4:7], np.eye(3))
@@ -57,7 +57,7 @@ def test_rigidity_world_finite_difference():
         n = int(rng.integers(2, 6))
         g = random_connected_graph(rng, n)
         poses = random_poses(rng, n)
-        h = rigidity_world(poses, g).matrix
+        h = rigidity_world(poses, g)
         kappa0 = kappa_stack(poses, g)
         dq = rng.uniform(-1.0, 1.0, 4 * n)
         plus = tuple(AgentPose(p.p + eps * dq[4 * a:4 * a + 3],
@@ -83,7 +83,7 @@ def test_rigidity_world_finite_difference():
 def test_rigidity_local_band_structure():
     poses = (AgentPose([0, 0, 0], 0.0), AgentPose([3, 0, 0], 0.0))
     g = ObservationGraph.from_pairs(2, [(0, 1)])
-    h = rigidity_local(poses, g).matrix
+    h = rigidity_local(poses, g)
     assert np.allclose(h[:3, 0:3], -np.eye(3))
     # zero relative heading: the observed agent's block is the identity
     assert np.allclose(h[:3, 4:7], np.eye(3))
@@ -180,17 +180,24 @@ def test_minor_verdict_agrees_with_eigen_verdict():
     assert agree > 250
 
 
+def pair_block(edge_a, edge_b, poses):
+    """Block (a, b) of blockwise M on the graph of the two edges."""
+    g = ObservationGraph.from_pairs(len(poses), [edge_a, edge_b])
+    a, b = (g.sorted_edges().index(e) for e in (edge_a, edge_b))
+    return assemble_m_blockwise(g, poses)[4 * a:4 * a + 4, 4 * b:4 * b + 4]
+
+
 def test_e_ab_disjoint_is_zero():
     rng = np.random.default_rng(7)
     poses = random_poses(rng, 4)
-    block = e_ab_block((0, 1), (2, 3), poses)
+    block = pair_block((0, 1), (2, 3), poses)
     assert np.all(block == 0.0)
 
 
 def test_e_ab_into_shared_vertex_identity_with_equal_headings():
     poses = (AgentPose([1, 0, 0], 0.4), AgentPose([0, 2, 0], 0.4),
              AgentPose([0, 0, 3], 0.4))
-    block = e_ab_block((0, 2), (1, 2), poses)
+    block = pair_block((0, 2), (1, 2), poses)
     assert np.allclose(block, np.eye(4), atol=1e-12)
 
 
@@ -199,13 +206,13 @@ def test_e_ab_repeated_edge_is_diagonal_block_of_m():
     poses = random_poses(rng, 2)
     g = ObservationGraph.from_pairs(2, [(0, 1)])
     m = m_matrix(poses, g)
-    assert np.allclose(e_ab_block((0, 1), (0, 1), poses), m, atol=1e-12)
+    assert np.allclose(pair_block((0, 1), (0, 1), poses), m, atol=1e-12)
 
 
 def test_blockwise_assembly_equals_product():
     rng = np.random.default_rng(9)
     for _ in range(25):
-        n = 4
+        n = int(rng.integers(2, 7))
         g = random_connected_graph(rng, n)
         poses = random_poses(rng, n)
         direct = m_matrix(poses, g)
