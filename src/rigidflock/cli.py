@@ -284,17 +284,18 @@ def _cmd_sim4d(args) -> int:
 
 
 def _parse_rates(text: str):
+    vals = [float(v) for v in text.split(":" if ":" in text else ",") if v]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"rates must be finite, got {text!r}")
     if ":" in text:
-        lo, hi, step = (float(v) for v in text.split(":"))
+        lo, hi, step = vals
         if not step > 0.0:
             raise ValueError(f"--rates step must be positive, got {step:g}")
         vals = []
-        v = lo
-        while v <= hi + 1e-9:
-            vals.append(round(v, 9))
-            v += step
-        return vals
-    return [float(v) for v in text.split(",") if v]
+        while lo <= hi + 1e-9:
+            vals.append(round(lo, 9))
+            lo += step
+    return vals
 
 
 def _cmd_sweep(args) -> int:
@@ -310,12 +311,9 @@ def _cmd_sweep(args) -> int:
         if empty:
             raise ValueError(f"{option} gives an empty grid")
     rows = sweep(scen, rates, ells, args.seeds)
-    header = ["rate_hz", "ell", "seed", "t_cp", "t_cpsi", "sigma_tp",
-              "sigma_tpsi", "mean_dv", "mean_domega", "a_p", "v_psi",
-              "stable_rms_p", "converged"]
-    # An object table keeps the seeds Python ints, exact at any size.
-    _write_table(args.out, header, np.array(
-        [[row[c] for c in header] for row in rows], dtype=object))
+    # Rows all hold the full summary; object cells keep seeds exact ints.
+    _write_table(args.out, list(rows[0]), np.array(
+        [list(row.values()) for row in rows], dtype=object))
     write_manifest(args.out, {**scenario_to_dict(scen),
                               "rates": rates, "ells": ells,
                               "seeds": args.seeds}, scen.seed, [args.out])

@@ -68,20 +68,20 @@ class ControllerConfig:
 def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     """Per-edge control terms of E edges, before the gain and the cap.
 
-    p_m, p_d are (E, 3) measured and desired relative positions, psi_m,
-    psi_d (E,) relative headings. Returns (position terms (E, 3), heading
-    terms (E,)). With ``q`` None these are the proportional terms. Otherwise
-    they are the restrained terms at quantile q = Phi^-1(ell), which need
-    the position covariances cov_p (E, 3, 3) and heading variances var_psi
-    (scalar or (E,)) of the measurements.
+    p_m, p_d are (..., E, 3) measured and desired relative positions and
+    psi_m, psi_d (..., E) relative headings; leading axes (say, one per
+    cell) broadcast, and so does q. Returns (position terms (..., E, 3),
+    heading terms (..., E)). With ``q`` None these are the proportional
+    terms. Otherwise they are the restrained terms at quantile q =
+    Phi^-1(ell), which need the position covariances cov_p (..., E, 3, 3)
+    and heading variances var_psi (scalar or (..., E)) of the measurements.
     """
     dpsi = wrap_angle(psi_m - psi_d)
     p_dr = rotate_z(p_d, dpsi)
-    raw_bearing = p_d[:, 0] * p_m[:, 1] - p_d[:, 1] * p_m[:, 0]
+    raw_bearing = p_d[..., 0] * p_m[..., 1] - p_d[..., 1] * p_m[..., 0]
     if q is None:
         return (p_m - p_d) + (p_m - p_dr), raw_bearing + 2.0 * dpsi
 
-    n_e = p_m.shape[0]
     sigma_psi = np.sqrt(var_psi)
 
     # Rotated-desired anchor: a Gaussian surrogate of the desired position
@@ -91,19 +91,18 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     # to pi/2, and falls back to DELTA^2 I on the vertical axis. At q = 0
     # the surrogate is off and the term keeps its raw anchor.
     p_hat = p_dr.copy()
-    if q != 0.0:
-        p_hat[:, :2] *= np.cos(sigma_psi)[..., None]
+    p_hat[..., :2] *= np.where(q != 0.0, np.cos(sigma_psi), 1.0)[..., None]
     sig_c = np.minimum(sigma_psi, 0.5 * math.pi)
-    rr = np.hypot(p_dr[:, 0], p_dr[:, 1])
+    rr = np.hypot(p_dr[..., 0], p_dr[..., 1])
     ok = rr > 0.0
-    rad = np.zeros((n_e, 3))
+    rad = np.zeros(p_dr.shape)
     rad[ok, :2] = p_dr[ok, :2] / rr[ok, None]
-    tan = np.stack([-rad[:, 1], rad[:, 0], np.zeros(n_e)], axis=1)
+    tan = np.stack([-rad[..., 1], rad[..., 0], np.zeros(rr.shape)], axis=-1)
     lam_r = rr ** 2 * (1.0 - np.cos(sig_c)) ** 2
     lam_t = rr ** 2 * np.sin(sig_c) ** 2
-    cov_t = (lam_r[:, None, None] * np.einsum("ij,ik->ijk", rad, rad)
-             + lam_t[:, None, None] * np.einsum("ij,ik->ijk", tan, tan))
-    cov_t[:, 2, 2] += rr ** 2 * DELTA ** 2
+    cov_t = (lam_r[..., None, None] * np.einsum("...j,...k", rad, rad)
+             + lam_t[..., None, None] * np.einsum("...j,...k", tan, tan))
+    cov_t[..., 2, 2] += rr ** 2 * DELTA ** 2
     cov_t[~ok] = DELTA ** 2 * np.eye(3)
 
     # Position terms: the setpoint backs off from the measurement along the
@@ -113,33 +112,34 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     # on errors scaled to unit max-norm so that tiny ones cannot underflow
     # to m = 0 (at q = 0 every nonzero error must pass).
     a = np.stack([p_m - p_d, p_m - p_hat])
-    scale = np.abs(a).max(axis=2)
+    scale = np.abs(a).max(axis=-1)
     unit = a / np.where(scale > 0.0, scale, 1.0)[..., None]
     cov = np.stack([cov_p, cov_p + cov_t])
     sol = np.linalg.solve(cov, unit[..., None])[..., 0]
-    m = scale * np.sqrt(np.maximum(np.einsum("kij,kij->ki", unit, sol), 0.0))
+    m = scale * np.sqrt(np.maximum(np.einsum("...i,...i->...", unit, sol),
+                                   0.0))
     fac = np.where(m > -q, 1.0 + q / np.where(m > 0.0, m, 1.0), 0.0)
-    pos = a[0] * fac[0][:, None] + a[1] * fac[1][:, None]
+    pos = a[0] * fac[0][..., None] + a[1] * fac[1][..., None]
 
     # Bearing term: rotate the measurement horizontally toward the desired
     # bearing by sigma_beta |q|, sigma_beta the tangential standard
     # deviation over the range, then clamp against the raw term. A rotation
     # past the desired bearing flips the sign and the clamp zeroes it; so
     # does a zero raw term, which covers degenerate horizontal projections.
-    r_m = np.hypot(p_m[:, 0], p_m[:, 1])
+    r_m = np.hypot(p_m[..., 0], p_m[..., 1])
     okm = r_m > 0.0
-    t_hat = np.zeros((n_e, 3))
+    t_hat = np.zeros(p_m.shape)
     t_hat[okm, 0] = -p_m[okm, 1] / r_m[okm]
     t_hat[okm, 1] = p_m[okm, 0] / r_m[okm]
-    var_tan = np.einsum("ei,eij,ej->e", t_hat, cov_p, t_hat)
+    var_tan = np.einsum("...i,...ij,...j->...", t_hat, cov_p, t_hat)
     # hypot cannot underflow to zero where r_m > 0, so theta stays finite.
-    dist = np.where(okm, np.hypot(r_m, p_m[:, 2]), 1.0)
+    dist = np.where(okm, np.hypot(r_m, p_m[..., 2]), 1.0)
     turn = np.sqrt(np.maximum(var_tan, 0.0)) * -q / dist
-    zeta_d = np.arctan2(p_d[:, 1], p_d[:, 0])
-    zeta_m = np.arctan2(p_m[:, 1], p_m[:, 0])
+    zeta_d = np.arctan2(p_d[..., 1], p_d[..., 0])
+    zeta_m = np.arctan2(p_m[..., 1], p_m[..., 0])
     theta = np.sign(wrap_angle(zeta_d - zeta_m)) * turn
     p_turn = rotate_z(p_m, theta)
-    y3 = p_d[:, 0] * p_turn[:, 1] - p_d[:, 1] * p_turn[:, 0]
+    y3 = p_d[..., 0] * p_turn[..., 1] - p_d[..., 1] * p_turn[..., 0]
 
     # Heading-consensus term; sign(0) = 0 keeps a dead-center error at zero.
     y4 = wrap_angle(dpsi + sigma_psi * np.sign(dpsi) * q)

@@ -16,7 +16,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +48,9 @@ class OneDConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         # Gains at or beyond 2 are simulable (they diverge); the closed-form
         # predictions validate their own (0, 2) domain.
         if self.k_ef <= 0.0:

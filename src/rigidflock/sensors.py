@@ -41,8 +41,8 @@ class SensorSpec:
         if min(self.dist_frac_sigma, self.bearing_sigma,
                self.heading_sigma) < 0.0:
             raise ValueError("noise magnitudes must be >= 0")
-        if self.rate_hz <= 0.0:
-            raise ValueError("rate_hz must be positive")
+        if not 0.0 < self.rate_hz < np.inf:
+            raise ValueError("rate_hz must be positive and finite")
 
 
 def covariance_sigmas(distance, spec: SensorSpec):

@@ -5,14 +5,15 @@ a command from the latest measurements, then fly straight and rotate at a
 constant rate until the next sample. Ground truth is kept by the simulator
 and used only for error metrics, never by the controllers.
 
-Each step maps the true poses to relative poses once over all edges with
-``core.relative_poses`` and evaluates the control law once over all edges
-through ``control.edge_terms``, the kernel behind the per-agent commands
-too; a property test checks it against an independent scalar form of the
-law. The error series (e_F, e_p, e_psi) is computed after the run, in one
-vectorized pass of the same relative-pose map over the recorded ground-truth
-history. A run's noise is drawn once, from one stream per (seed, agent).
-One (scenario, seed) pair always reproduces the same run bit for bit.
+One function, ``step``, advances a batch of cells that share a seed and
+differ in rate and ell (a run is a batch of one): it maps true poses to
+relative poses with ``core.relative_poses`` and evaluates the control law
+with ``control.edge_terms``, once over all edges of all cells. A property
+test checks the law against an independent scalar form. The error series
+(e_F, e_p, e_psi) is computed after the run, in one vectorized pass of the
+same relative-pose map over the recorded ground-truth history. A run's noise
+is drawn once, from one stream per (seed, agent), and one (scenario, seed)
+pair always reproduces the same run bit for bit.
 """
 
 from __future__ import annotations
@@ -120,24 +121,14 @@ def formation_error(poses, desired, graph: ObservationGraph):
     return float(e_f), float(e_p), float(e_psi)
 
 
-@dataclass
-class SimState:
-    """Mutable simulation state; noise[k] holds the (E, 4) standard normals
-    of step k in sorted-edge order, for horizon_steps steps."""
+def init_state(scenario: Scenario):
+    """Initial positions (N, 3), headings (N,) and noise (T, E, 4) of a run.
 
-    positions: np.ndarray
-    headings: np.ndarray
-    step_index: int
-    noise: np.ndarray
-
-
-def init_state(scenario: Scenario) -> SimState:
-    """Initial poses in a ball of init_radius with uniform headings.
-
-    The draw depends only on the scenario seed, so runs that differ in
-    controller settings start identically and see the same noise: each
-    agent draws its (horizon_steps, out-degree, 4) block in one call, the
-    same numbers as one (out-degree, 4) draw per step.
+    Positions lie in a ball of init_radius, headings are uniform. The draw
+    depends only on the scenario seed, so runs that differ in rate or ell
+    start identically and see the same noise: each agent draws its
+    (T, out-degree, 4) block in one call, the same numbers as one draw per
+    step; noise[k] holds step k's standard normals in sorted-edge order.
     """
     n = scenario.graph.n
     rng = init_stream(scenario.seed)
@@ -146,11 +137,10 @@ def init_state(scenario: Scenario) -> SimState:
     radius = scenario.init_radius * rng.uniform(0.0, 1.0, n) ** (1.0 / 3.0)
     positions = direction * radius[:, None]
     headings = wrap_angle(rng.uniform(-math.pi, math.pi, n))
-    noise = np.concatenate(
+    return positions, headings, np.concatenate(
         [measurement_stream(scenario.seed, a).standard_normal(
             (scenario.horizon_steps, scenario.graph.out_degree(a), 4))
          for a in range(n)], axis=1)
-    return SimState(positions, headings, 0, noise)
 
 
 class _EdgeCache:
@@ -166,56 +156,39 @@ class _EdgeCache:
         self.weights = 1.0 / (deg[self.obs_i] * np.count_nonzero(deg))
 
 
-def _edge_commands(p_m, psi_m, s_r, s_t, r_hat, cache: _EdgeCache,
-                   cfg: ControllerConfig, var_psi: float):
-    """Per-edge restrained or proportional control terms of one step.
+def step(positions, headings, z, dt, q, scenario: Scenario,
+         cache: _EdgeCache, k: int = 0):
+    """Advance cells one measurement period: sample, command, integrate.
 
-    At ell = 0.5 the restrained law equals the proportional one bit for bit,
-    so it takes the proportional path and skips the covariances.
+    positions (..., N, 3), headings (..., N) hold one cell's state or R
+    cells' on a leading axis, all seeing the (E, 4) standard normals z and
+    differing in agent periods dt (..., N) and quantile q: None (ell = 0.5,
+    the proportional law), a scalar or (R, 1). Faults name step k + 1.
+    Returns the next positions, headings and the commands u, omega.
     """
-    if cfg.ell == 0.5:
-        return edge_terms(p_m, psi_m, cache.p_d, cache.psi_d)
-    return edge_terms(p_m, psi_m, cache.p_d, cache.psi_d, cfg.quantile,
-                      position_covariance(r_hat, s_r, s_t), var_psi)
-
-
-def step(state: SimState, scenario: Scenario,
-         cache: _EdgeCache | None = None) -> SimState:
-    """Advance one measurement period: sample, command, integrate.
-
-    A state holds noise for horizon_steps steps, and no step beyond them.
-    """
-    if cache is None:
-        cache = _EdgeCache(scenario.desired, scenario.graph)
-    return _step_recorded(state, scenario, cache)[0]
-
-
-def _step_recorded(state: SimState, scenario: Scenario, cache: _EdgeCache):
-    cfg = scenario.controller
     spec = scenario.sensor
-    dt = 1.0 / spec.rate_hz
-
-    p_rel, psi_rel = relative_poses(state.positions, state.headings,
-                                    cache.obs_i, cache.obs_j)
-    p_m, psi_m, dist, r_hat = perturb(p_rel, psi_rel,
-                                      state.noise[state.step_index], spec)
-    _require_finite(state.step_index + 1, "measurements", p_m)
+    p_rel, psi_rel = relative_poses(positions, headings, cache.obs_i,
+                                    cache.obs_j)
+    p_m, psi_m, dist, r_hat = perturb(p_rel, psi_rel, z, spec)
+    _require_finite(k + 1, "measurements", p_m)
     psi_m = wrap_angle(psi_m)
-    # The controller sees floored covariances, never degenerate ones.
-    s_r, s_t = covariance_sigmas(dist, spec)
+    # The restrained law sees floored covariances, never degenerate ones.
+    cov_p = None if q is None else position_covariance(
+        r_hat, *covariance_sigmas(dist, spec))
+    pos_terms, ang_terms = edge_terms(p_m, psi_m, cache.p_d, cache.psi_d, q,
+                                      cov_p, spec.heading_sigma ** 2)
+    # Each edge's observer as a row of one table of all cells' agents.
+    u, omega = agent_commands(
+        np.arange(dt.size).reshape(dt.shape)[..., cache.obs_i].ravel(),
+        pos_terms.reshape(-1, 3), ang_terms.ravel(), dt.size,
+        scenario.controller, dt.ravel())
+    u, omega = u.reshape(positions.shape), omega.reshape(dt.shape)
 
-    pos_terms, ang_terms = _edge_commands(p_m, psi_m, s_r, s_t, r_hat,
-                                          cache, cfg, spec.heading_sigma ** 2)
-    u, omega = agent_commands(cache.obs_i, pos_terms, ang_terms,
-                              scenario.graph.n, cfg, dt)
-
-    positions = state.positions + rotate_z(u, state.headings) * dt
-    headings = state.headings + omega * dt
-    _require_finite(state.step_index + 1, "positions", positions)
-    _require_finite(state.step_index + 1, "headings", headings)
-    new = SimState(positions, wrap_angle(headings), state.step_index + 1,
-                   state.noise)
-    return new, u, omega
+    positions = positions + rotate_z(u, headings) * dt[..., None]
+    headings = headings + omega * dt
+    _require_finite(k + 1, "positions", positions)
+    _require_finite(k + 1, "headings", headings)
+    return positions, wrap_angle(headings), u, omega
 
 
 def _require_finite(step_index: int, name: str, values):
@@ -247,6 +220,52 @@ def _error_series(positions, headings, cache: _EdgeCache):
     return e_f, e_p, e_psi, disp_p, disp_psi
 
 
+def _records(scenario: Scenario, cells):
+    """Yield (c, RunRecord) for each cell c = (sensor, controller) of cells,
+    all from the one start and noise that init_state draws for scenario.
+
+    Cells step together in batches of one law branch (ell = 0.5 takes the
+    proportional path); a lone cell steps without the cell axis, which
+    numpy would charge for at every step.
+    """
+    cache = _EdgeCache(scenario.desired, scenario.graph)
+    positions0, headings0, noise = init_state(scenario)
+    # An overflowing start fails on e_F before its first measurement does.
+    _error_series(positions0[None], headings0[None], cache)
+    n, steps = scenario.graph.n, scenario.horizon_steps
+    fiedler = np.full(steps + 1, fiedler_value(scenario.graph)
+                      if n >= 2 else 0.0)
+    # Batches hold at most 2^21 history floats (16 MiB), 8 per agent-state.
+    size = max(1, 2 ** 21 // (8 * (steps + 1) * n))
+    branches = [[c for c, (_, cfg) in enumerate(cells)
+                 if (cfg.ell == 0.5) == half] for half in (True, False)]
+    for batch in (b[lo:lo + size] for b in branches
+                  for lo in range(0, len(b), size)):
+        specs, cfgs = zip(*(cells[c] for c in batch))
+        dt = np.array([[1.0 / spec.rate_hz] * n for spec in specs])
+        q = None if cfgs[0].ell == 0.5 else np.array(
+            [[cfg.quantile] for cfg in cfgs])
+        if len(batch) == 1:
+            dt, q = dt[0], q if q is None else q.item()
+        positions = np.empty((steps + 1, len(batch), n, 3))
+        headings = np.empty((steps + 1, len(batch), n))
+        u = np.empty((steps, len(batch), n, 3))
+        omega = np.empty((steps, len(batch), n))
+        positions[0], headings[0] = positions0, headings0
+        for k in range(steps):
+            positions[k + 1], headings[k + 1], u[k], omega[k] = step(
+                positions[k].reshape(dt.shape + (3,)),
+                headings[k].reshape(dt.shape), noise[k], dt, q, scenario,
+                cache, k)
+        # Copies, so no record keeps this batch alive into the next one.
+        for b, c in enumerate(batch):
+            history = [a[:, b].copy() for a in (positions, headings, u, omega)]
+            series = _error_series(*history[:2], cache)
+            yield c, RunRecord(*history, *series[:3], fiedler, _summarize(
+                *series[3:], *history[2:], specs[b].rate_hz, scenario))
+        del positions, headings, u, omega
+
+
 def run(scenario: Scenario) -> RunRecord:
     """Simulate the scenario for its full horizon and compute metrics.
 
@@ -256,30 +275,8 @@ def run(scenario: Scenario) -> RunRecord:
     positional series to stay under half the smallest desired inter-agent
     distance; chaotic non-converged runs sit orders of magnitude above it.
     """
-    cache = _EdgeCache(scenario.desired, scenario.graph)
-    n = scenario.graph.n
-    steps = scenario.horizon_steps
-    state = init_state(scenario)
-    f_hz = scenario.sensor.rate_hz
-
-    positions = np.empty((steps + 1, n, 3))
-    headings = np.empty((steps + 1, n))
-    u_all = np.empty((steps, n, 3))
-    omega_all = np.empty((steps, n))
-    positions[0], headings[0] = state.positions, state.headings
-    # An overflowing start fails on e_F before its first measurement does.
-    _error_series(positions[:1], headings[:1], cache)
-    for k in range(steps):
-        state, u_all[k], omega_all[k] = _step_recorded(state, scenario, cache)
-        positions[k + 1], headings[k + 1] = state.positions, state.headings
-    e_f, e_p, e_psi, disp_p, disp_psi = _error_series(positions, headings,
-                                                      cache)
-
-    fiedler = np.full(steps + 1, fiedler_value(scenario.graph)
-                      if n >= 2 else 0.0)
-    summary = _summarize(disp_p, disp_psi, u_all, omega_all, f_hz, scenario)
-    return RunRecord(positions, headings, u_all, omega_all,
-                     e_f, e_p, e_psi, fiedler, summary)
+    return next(_records(scenario, [(scenario.sensor,
+                                     scenario.controller)]))[1]
 
 
 def _summarize(disp_p, disp_psi, u_all, omega_all, f_hz, scenario):
@@ -357,18 +354,19 @@ def sweep(scenario: Scenario, rates, ells, n_seeds: int) -> list:
     """Grid run over (rate, ell, seed); returns one summary row per cell.
 
     Seeds offset the scenario seed, so every (rate, ell) pair at a given
-    seed shares initial conditions and noise realizations. Rows follow the
-    grid order: rate, then ell, then seed.
+    seed shares initial conditions and noise realizations, drawn once for
+    all cells of the seed, which step together. A row equals the summary of
+    run() of its cell bit for bit. Rows follow the grid order: rate, ell,
+    seed.
     """
-    rows = []
-    for f_hz in rates:
-        for ell in ells:
-            for s in range(n_seeds):
-                scen = replace(
-                    scenario,
-                    controller=replace(scenario.controller, ell=ell),
-                    sensor=replace(scenario.sensor, rate_hz=f_hz),
-                    seed=scenario.seed + s)
-                rows.append({"rate_hz": f_hz, "ell": ell, "seed": scen.seed,
-                             **run(scen).summary})
+    cells = [(replace(scenario.sensor, rate_hz=f_hz),
+              replace(scenario.controller, ell=ell))
+             for f_hz in rates for ell in ells]
+    rows = [None] * (len(cells) * n_seeds)
+    for s in range(n_seeds):
+        scen = replace(scenario, seed=scenario.seed + s)
+        for c, record in _records(scen, cells):
+            spec, cfg = cells[c]
+            rows[c * n_seeds + s] = {"rate_hz": spec.rate_hz, "ell": cfg.ell,
+                                     "seed": scen.seed, **record.summary}
     return rows

@@ -341,6 +341,9 @@ def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
     (["sweep", "--seeds", "0"], "--seeds"),
     (["audit", "--samples", "-3"], "--samples"),
     (["audit", "--samples", "0"], "--samples"),
+    (["sweep", "--rates", "nan"], "--rates"),
+    (["sweep", "--rates", "inf"], "--rates"),
+    (["sweep", "--rates", "0:inf:10"], "--rates"),
 ])
 def test_bad_grid_or_sample_count_exits_2(tmp_path, capsys, argv, option):
     out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "sweep" else []
@@ -348,6 +351,25 @@ def test_bad_grid_or_sample_count_exits_2(tmp_path, capsys, argv, option):
     assert rc == 2
     assert option in json.loads(capsys.readouterr().err)["message"]
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("option, value, field", [
+    ("--sigma-m", "nan", "sigma_m"),
+    ("--k-ef", "inf", "k_ef"),
+    ("--ell", "nan", "ell"),
+])
+def test_analyze_non_finite_option_exits_2_and_names_field(option, value,
+                                                           field):
+    # a real process, so that any warning text would reach its stderr
+    args = {"--k-ef": "0.5", "--ell": "0.3", "--sigma-m": "3", option: value}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigidflock.cli", "analyze",
+         *(v for item in args.items() for v in item)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)  # stderr is exactly one JSON object
+    assert err["message"].startswith(field)
 
 
 def test_sweep_accepts_shortest_horizon(tmp_path):

@@ -1,5 +1,6 @@
 """Properties of the array kernels over random edge batches and poses."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
                                is_connected)
 from rigidflock.rigidity import rigidity_local, rigidity_world
 from rigidflock.sensors import measurement_stream
-from rigidflock.sim import Scenario, _EdgeCache, _error_series, init_state
+from rigidflock.sim import (Scenario, _EdgeCache, _error_series, _records,
+                            init_state, run)
 from scalar_law import Des, Meas, restrained_edge_terms, stack
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
@@ -187,7 +189,7 @@ def scenario(draw):
 def test_run_noise_equals_per_step_draws_bitwise(scen):
     # step k holds each agent's (out-degree, 4) draw of step k from its own
     # stream, agents in ascending order: the sorted-edge order
-    noise = init_state(scen).noise
+    noise = init_state(scen)[2]
     n = scen.graph.n
     streams = [measurement_stream(scen.seed, a) for a in range(n)]
     degrees = [scen.graph.out_degree(a) for a in range(n)]
@@ -196,6 +198,45 @@ def test_run_noise_equals_per_step_draws_bitwise(scen):
         want = np.concatenate([rng.standard_normal((d, 4))
                                for rng, d in zip(streams, degrees)])
         assert noise[k].tobytes() == want.tobytes()
+
+
+@st.composite
+def sweep_cells(draw):
+    """A scenario on a random connected graph and 2..5 (rate, ell) cells."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    # a mutual spine keeps the graph connected and free of passive sinks
+    spine = [(i + d, i + 1 - d) for i in range(n - 1) for d in (0, 1)]
+    graph = ObservationGraph.from_pairs(n, spine + draw(st.lists(
+        st.sampled_from(pairs), unique=True)))
+    scen = Scenario(desired=tuple(AgentPose([5.0 * a, draw(coord), 0.0],
+                                            draw(angle)) for a in range(n)),
+                    graph=graph, horizon_steps=draw(st.integers(0, 30)),
+                    seed=draw(st.integers(0, 2 ** 63)))
+    cells = draw(st.lists(st.tuples(st.floats(1.0, 200.0), st.one_of(
+        st.just(0.5), st.floats(0.01, 0.5))), min_size=2, max_size=5))
+    return scen, [(replace(scen.sensor, rate_hz=f_hz),
+                   replace(scen.controller, ell=ell)) for f_hz, ell in cells]
+
+
+@given(sweep_cells())
+def test_batch_records_equal_lone_runs_bitwise(case):
+    # the cells of one seed step together, one batch per law branch; each
+    # record equals a run() of its cell alone, which steps without the
+    # cell axis
+    scen, cells = case
+    seen = set()
+    for c, rec in _records(scen, cells):
+        seen.add(c)
+        spec, cfg = cells[c]
+        alone = run(replace(scen, sensor=spec, controller=cfg))
+        for name in ("positions", "headings", "u", "omega", "e_f", "e_p",
+                     "e_psi", "fiedler"):
+            got, want = getattr(rec, name), getattr(alone, name)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        assert repr(rec.summary) == repr(alone.summary)
+    assert seen == set(range(len(cells)))
 
 
 @st.composite

@@ -15,6 +15,21 @@ from rigidflock.sim import (Scenario, ScenarioError, _EdgeCache,
                             run, step, sweep)
 
 
+def cell_steps(scen, positions, headings, cache=None):
+    """(positions, headings) after each step of scen's one cell from the
+    given start, stepped as an R = 1 batch through sim.step."""
+    cache = cache or _EdgeCache(scen.desired, scen.graph)
+    noise = init_state(scen)[2]
+    dt = np.full((1, scen.graph.n), 1.0 / scen.sensor.rate_hz)
+    cfg = scen.controller
+    q = None if cfg.ell == 0.5 else np.array([[cfg.quantile]])
+    positions, headings = positions[None], headings[None]
+    for k in range(scen.horizon_steps):
+        positions, headings, _, _ = step(positions, headings, noise[k], dt,
+                                         q, scen, cache, k)
+        yield positions[0], headings[0]
+
+
 def quiet_sensor(rate=10.0):
     return SensorSpec(dist_frac_sigma=0.0, bearing_sigma=0.0,
                       heading_sigma=0.0, rate_hz=rate)
@@ -73,12 +88,11 @@ def test_equilibrium_is_stationary_zero_noise():
     for ell in (0.5, 0.1):
         scen = pair_scenario(controller=ControllerConfig(k_e=0.5, ell=ell),
                              sensor=quiet_sensor(), horizon_steps=5)
-        state = init_state(scen)
-        state.positions[:] = [p.p for p in scen.desired]
-        state.headings[:] = [p.psi for p in scen.desired]
-        nxt = step(state, scen)
-        assert np.array_equal(nxt.positions, state.positions)
-        assert np.array_equal(nxt.headings, state.headings)
+        positions = np.array([p.p for p in scen.desired])
+        headings = np.array([p.psi for p in scen.desired])
+        nxt = next(cell_steps(scen, positions, headings))
+        assert np.array_equal(nxt[0], positions)
+        assert np.array_equal(nxt[1], headings)
 
 
 def test_two_agent_zero_noise_contraction_matches_recursion():
@@ -88,16 +102,13 @@ def test_two_agent_zero_noise_contraction_matches_recursion():
     scen = pair_scenario(sensor=quiet_sensor(rate=10.0),
                          controller=ControllerConfig(k_e=0.5, ell=0.5),
                          horizon_steps=30)
-    cache = _EdgeCache(scen.desired, scen.graph)
-    state = init_state(scen)
-    state.positions[:] = [[0.0, 0.0, 0.0], [7.0, 0.0, 0.0]]
-    state.headings[:] = 0.0
+    states = cell_steps(scen, np.array([[0.0, 0.0, 0.0], [7.0, 0.0, 0.0]]),
+                        np.zeros(2))
     k_ef = scen.controller.k_e / scen.sensor.rate_hz
     gap = 7.0 - 5.0
-    for _ in range(20):
-        state = step(state, scen, cache)
+    for _, (positions, _) in zip(range(20), states):
         gap = gap * (1 - 4 * k_ef)
-        sep = state.positions[1, 0] - state.positions[0, 0]
+        sep = positions[1, 0] - positions[0, 0]
         assert sep - 5.0 == pytest.approx(gap, rel=1e-9, abs=1e-12)
 
 
@@ -135,17 +146,17 @@ def test_se2_invariance_of_error_series():
     cache = _EdgeCache(base.desired, base.graph)
 
     def series(transform):
-        state = init_state(base)
+        positions, headings, _ = init_state(base)
         if transform:
             rot = rotz(0.9)
             shift = np.array([10.0, -4.0, 2.5])
-            state.positions[:] = state.positions @ rot.T + shift
-            state.headings[:] = wrap_angle(state.headings + 0.9)
+            positions = positions @ rot.T + shift
+            headings = wrap_angle(headings + 0.9)
         out = np.empty(base.horizon_steps)
-        for k in range(base.horizon_steps):
-            state = step(state, base, cache)
+        for k, (positions, headings) in enumerate(
+                cell_steps(base, positions, headings, cache)):
             out[k] = formation_error(
-                tuple(AgentPose(state.positions[a], state.headings[a])
+                tuple(AgentPose(positions[a], headings[a])
                       for a in range(2)), base.desired, base.graph)[0]
         return out
 
@@ -161,15 +172,15 @@ def test_se2_invariance_restrained_zero_noise():
     cache = _EdgeCache(scen.desired, scen.graph)
 
     def final_error(transform):
-        state = init_state(scen)
+        positions, headings, _ = init_state(scen)
         if transform:
             rot = rotz(-1.7)
-            state.positions[:] = state.positions @ rot.T + [1.0, 2.0, -3.0]
-            state.headings[:] = wrap_angle(state.headings - 1.7)
-        for _ in range(scen.horizon_steps):
-            state = step(state, scen, cache)
+            positions = positions @ rot.T + [1.0, 2.0, -3.0]
+            headings = wrap_angle(headings - 1.7)
+        *_, (positions, headings) = cell_steps(scen, positions, headings,
+                                               cache)
         return formation_error(
-            tuple(AgentPose(state.positions[a], state.headings[a])
+            tuple(AgentPose(positions[a], headings[a])
                   for a in range(2)), scen.desired, scen.graph)[0]
 
     assert final_error(True) == pytest.approx(final_error(False),
@@ -224,8 +235,8 @@ def test_sweep_shares_initial_conditions_across_ell():
         scen, controller=dataclasses.replace(scen.controller, ell=0.5)))
     s2 = init_state(dataclasses.replace(
         scen, controller=dataclasses.replace(scen.controller, ell=0.2)))
-    assert np.array_equal(s1.positions, s2.positions)
-    assert np.array_equal(s1.headings, s2.headings)
+    assert np.array_equal(s1[0], s2[0])
+    assert np.array_equal(s1[1], s2[1])
 
 
 def test_sweep_row_equals_single_run_bitwise():
@@ -284,26 +295,22 @@ def test_restraining_calms_flight_metrics_low_gain():
 
 def test_coincident_agents_rejected():
     scen = pair_scenario(sensor=quiet_sensor(), horizon_steps=3)
-    state = init_state(scen)
-    state.positions[:] = 0.0
     with pytest.raises(ArithmeticError):
-        step(state, scen)
+        next(cell_steps(scen, np.zeros((2, 3)), init_state(scen)[1]))
 
 
 def test_non_finite_measurement_and_state_are_named():
     # 1e200 m apart the squared range overflows, so the measurement does
     scen = pair_scenario(sensor=quiet_sensor(), horizon_steps=3)
-    state = init_state(scen)
-    state.positions[:] = [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]
+    headings = init_state(scen)[1]
     with np.errstate(all="ignore"), \
             pytest.raises(FloatingPointError, match="measurements at step 1"):
-        step(state, scen)
+        next(cell_steps(scen, np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]),
+                        headings))
     # a finite measurement whose bearing cross term overflows to inf - inf
     far = dataclasses.replace(scen, desired=(
         AgentPose([0.0, 0.0, 0.0], 0.0), AgentPose([1e155, 1e155, 0.0], 0.0)))
-    state = init_state(far)
-    state.positions[:] = [[0.0, 0.0, 0.0], [7e153, 7e153, 0.0]]
-    state.headings[:] = 0.0
     with np.errstate(all="ignore"), \
             pytest.raises(FloatingPointError, match="headings at step 1"):
-        step(state, far)
+        next(cell_steps(far, np.array([[0.0, 0.0, 0.0], [7e153, 7e153, 0.0]]),
+                        np.zeros(2)))
