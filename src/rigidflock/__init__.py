@@ -22,16 +22,16 @@ from .oned import (OneDConfig, expected_coherence_time,
 from .sensors import (SensorSpec, covariance_sigmas, perturb,
                       position_covariance)
 from .sim import (RunRecord, Scenario, ScenarioError, builtin_scenarios,
-                  formation_error, run, sweep)
+                  formation_error, heading_loop_gain, run, sweep)
 
 __all__ = [
     "AgentPose", "ControllerConfig", "ObservationGraph", "OneDConfig",
     "RunRecord", "Scenario", "ScenarioError", "SensorSpec", "agent_commands",
     "builtin_scenarios", "count_passive_sinks", "covariance_sigmas",
     "edge_terms", "expected_coherence_time", "fiedler_value",
-    "formation_error", "is_connected", "kl_divergence_gaussianity",
-    "perturb", "position_covariance", "remove_random_edges_keep_connected",
-    "rotz", "run", "run_1d_ensemble", "sigma_ss_proportional",
-    "sigma_ss_restrained", "std_normal_cdf", "std_normal_quantile", "sweep",
-    "wrap_angle", "__version__",
+    "formation_error", "heading_loop_gain", "is_connected",
+    "kl_divergence_gaussianity", "perturb", "position_covariance",
+    "remove_random_edges_keep_connected", "rotz", "run", "run_1d_ensemble",
+    "sigma_ss_proportional", "sigma_ss_restrained", "std_normal_cdf",
+    "std_normal_quantile", "sweep", "wrap_angle", "__version__",
 ]

@@ -33,7 +33,8 @@ from .oned import (OneDConfig, conditional_variance_at_target,
 from .rigidity import (gradient_consistency_residual,
                        is_positive_definite_minors, m_matrix)
 from .sensors import SensorSpec
-from .sim import Scenario, ScenarioError, builtin_scenarios, run, sweep
+from .sim import (Scenario, ScenarioError, builtin_scenarios,
+                  heading_loop_gain, run, sweep)
 
 
 def _fmt(x) -> str:
@@ -345,6 +346,7 @@ def _cmd_audit(args) -> int:
         "samples": args.samples,
         "gradient_residual_max": max(residuals),
         "pd_fraction_random_poses": float(np.mean(pd_flags)),
+        "heading_loop_gain": heading_loop_gain(scen),
     }
     print(json.dumps(out, indent=2))
     return 0

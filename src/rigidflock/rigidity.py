@@ -9,6 +9,9 @@ edge bands (`_bands`): H_world as a (4E, 4N) array, H_local = H_world
 blkdiag(R(psi_v), 1) by the chain rule, M = H H^T with its leading principal
 minors for positive-definiteness audits, M assembled blockwise from the
 bands' 4x4 edge-pair products, and the Lyapunov decay rate -2 k_e e^T M e.
+The positive-definiteness audit takes M's leading principal minors from one
+unpivoted LDL^T elimination pass; they run up to the first non-positive
+one, so a list shorter than 4E means "not PD".
 
 H vanishes on the four rigid motions (a common translation, and a common
 yaw about world z), so rank H <= 4N - 4 and M, which is 4E x 4E, can be
@@ -130,16 +133,42 @@ def m_matrix(poses, graph: ObservationGraph) -> np.ndarray:
 
 
 def is_positive_definite_minors(a: np.ndarray):
-    """(verdict, minors): PD iff every leading principal minor is positive."""
+    """(verdict, minors) of a symmetric matrix from one LDL^T elimination.
+
+    The pass is unpivoted and takes no square root: the k-th leading
+    principal minor is the product of the first k pivots, and the matrix is
+    positive definite iff every pivot is positive. It stops at the first
+    pivot <= 0, so the minors run up to and including the first
+    non-positive one: a list shorter than n means "not PD", and the verdict
+    is true iff all n minors are positive. Each pivot column is the Schur
+    complement column built from the earlier ones (left-looking), so a pass
+    that stops at pivot k costs O(n k^2), and O(n^3) at most. An empty,
+    non-square, non-symmetric or non-finite matrix raises ValueError.
+    """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("matrix is empty")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     scale = max(float(np.abs(a).max()), 1.0)
     if np.abs(a - a.T).max() > 1e-9 * scale:
         raise ValueError("matrix must be symmetric")
-    minors = [float(np.linalg.det(a[:k, :k])) for k in range(1, n + 1)]
-    return all(m > 0.0 for m in minors), minors
+    schur = np.empty((n, n))  # column j: pivot j times column j of L
+    pivots = schur.diagonal()
+    minors = []
+    minor = 1.0
+    for k in range(n):
+        col = a[k:, k] - schur[k:, :k] @ (schur[k, :k] / pivots[:k])
+        pivot = float(col[0])
+        minor *= pivot
+        minors.append(minor)
+        if not pivot > 0.0:
+            return False, minors
+        schur[k:, k] = col
+    return True, minors
 
 
 def single_edge_m(p12_world) -> np.ndarray:

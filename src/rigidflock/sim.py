@@ -121,6 +121,23 @@ def formation_error(poses, desired, graph: ObservationGraph):
     return float(e_f), float(e_p), float(e_psi)
 
 
+def heading_loop_gain(scenario: Scenario) -> float:
+    """Predicted per-step heading loop gain (k_e / f) max_i sum_j |d_ij|^2.
+
+    d_ij is the desired offset from agent i to an agent j it observes, at
+    the desired formation, and f the sensor rate. The discrete heading loop
+    is stable for gains below 2; the quantity is static, so a run or an
+    audit can report it at no cost.
+    """
+    positions, _ = pose_arrays(scenario.desired)
+    obs_i, obs_j = scenario.graph.edge_index()
+    d = positions[obs_j] - positions[obs_i]
+    sums = np.bincount(obs_i, weights=np.einsum("ej,ej->e", d, d),
+                       minlength=scenario.graph.n)
+    return float(scenario.controller.k_e / scenario.sensor.rate_hz
+                 * sums.max())
+
+
 def init_state(scenario: Scenario):
     """Initial positions (N, 3), headings (N,) and noise (T, E, 4) of a run.
 

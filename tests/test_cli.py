@@ -15,6 +15,7 @@ from rigidflock.cli import (_parse_rates, canonical_json, config_hash, main,
                             parse_scenario, scenario_from_dict,
                             scenario_to_dict)
 from rigidflock.sim import ScenarioError, builtin_scenarios
+from det_minors import det_minors
 
 
 MINIMAL = {
@@ -199,6 +200,32 @@ def test_audit_flags_singular_m_for_mutual_pair(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["desired_pd"] is False
     assert out["gradient_residual_max"] < 1e-10
+
+
+# (k_e / f) max_i sum_j |d_ij|^2 at the builtins' 10 Hz rate
+BUILTIN_LOOP_GAINS = {"pair": 1.25, "triangle3": 2.5, "triangle6": 16.25,
+                      "triangle6_sparse": 13.75}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_LOOP_GAINS))
+def test_audit_builtins_match_det_oracle(name, capsys, monkeypatch):
+    argv = ["audit", "--scenario", f"builtin:{name}", "--samples", "50"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    n = parse_scenario(f"builtin:{name}").graph.n
+    # E >= N: rank H <= 4N - 4, so the (4N - 3)-th minor is 0 and the
+    # elimination has stopped by then
+    assert out["desired_pd"] is False
+    assert len(out["desired_minors"]) <= 4 * n - 3
+    assert out["pd_fraction_random_poses"] == 0.0
+    assert out["heading_loop_gain"] == BUILTIN_LOOP_GAINS[name]
+    # the same audit with one det per leading minor gives the same figures
+    monkeypatch.setattr(cli, "is_positive_definite_minors", det_minors)
+    assert main(argv) == 0
+    ref = json.loads(capsys.readouterr().out)
+    for key in ("desired_pd", "pd_fraction_random_poses",
+                "gradient_residual_max"):
+        assert out[key] == ref[key]
 
 
 def test_error_reporting_machine_readable(tmp_path, capsys):

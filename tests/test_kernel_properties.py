@@ -13,10 +13,12 @@ from rigidflock.core import (SKEW_Z, AgentPose, relative_poses, rotate_z,
                             rotz, std_normal_quantile, wrap_angle)
 from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
                                is_connected)
-from rigidflock.rigidity import rigidity_local, rigidity_world
+from rigidflock.rigidity import (is_positive_definite_minors, m_matrix,
+                                 rigidity_local, rigidity_world)
 from rigidflock.sensors import measurement_stream
 from rigidflock.sim import (Scenario, _EdgeCache, _error_series, _records,
                             init_state, run)
+from det_minors import det_minors
 from scalar_law import Des, Meas, restrained_edge_terms, stack
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
@@ -280,3 +282,43 @@ def test_local_jacobian_is_world_jacobian_in_body_frames(case):
         want[:, 4 * v:4 * v + 3] = want[:, 4 * v:4 * v + 3] @ rotz(q.psi)
     got = rigidity_local(poses, graph)
     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def _assert_minors_match_oracles(a):
+    """Elimination minors against det, the verdict against eigvalsh."""
+    verdict, minors = is_positive_definite_minors(a)
+    # positive entries, then at most one non-positive last entry: the
+    # verdict is true iff that last entry is the n-th and positive
+    assert all(m > 0.0 for m in minors[:-1])
+    assert (minors[-1] > 0.0) == verdict
+    assert len(minors) == len(a) or not verdict
+    # a minor's scale is the Hadamard bound of its block (the product of
+    # the row norms); below 1e-6 of it det is rounding noise
+    _, want = det_minors(a)
+    for k, (got, ref) in enumerate(zip(minors, want), start=1):
+        if abs(ref) > 1e-6 * np.prod(np.linalg.norm(a[:k, :k], axis=1)):
+            assert abs(got - ref) <= 1e-9 * abs(ref)
+    evals = np.linalg.eigvalsh(a)
+    if abs(evals[0]) > 1e-8 * np.abs(evals).max():
+        assert verdict == (evals[0] > 0.0)
+
+
+@given(connected_poses())
+def test_minors_of_m_match_det_and_eigen_verdict(case):
+    poses, graph = case
+    _assert_minors_match_oracles(m_matrix(poses, graph))
+
+
+@st.composite
+def symmetric_matrix(draw):
+    """A symmetric n x n matrix (n = 1..8), shifted towards PD by a drawn
+    multiple of the identity."""
+    n = draw(st.integers(1, 8))
+    a = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    return a + a.T + draw(st.floats(0.0, 8.0)) * np.eye(n)
+
+
+@given(symmetric_matrix())
+def test_minors_of_symmetric_matrices_match_det_and_eigen_verdict(a):
+    _assert_minors_match_oracles(a)

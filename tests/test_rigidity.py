@@ -159,8 +159,30 @@ def test_single_edge_minors_polynomials():
 def test_minors_identity_and_rejections():
     ok, minors = is_positive_definite_minors(np.eye(5))
     assert ok and np.allclose(minors, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         is_positive_definite_minors(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        is_positive_definite_minors(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_minors_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        is_positive_definite_minors(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_minors_reject_empty_matrix():
+    with pytest.raises(ValueError, match="empty"):
+        is_positive_definite_minors(np.zeros((0, 0)))
+
+
+def test_minors_stop_at_first_non_positive_pivot():
+    # the third pivot is -1; the fourth leading minor is never formed
+    a = np.diag([2.0, 3.0, -1.0, 5.0])
+    assert is_positive_definite_minors(a) == (False, [2.0, 6.0, -6.0])
+    # a zero leading entry stops the pass at once, whatever follows
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert is_positive_definite_minors(swap) == (False, [0.0])
 
 
 def test_minor_verdict_agrees_with_eigen_verdict():

@@ -11,8 +11,8 @@ from rigidflock.core import AgentPose, rotz, wrap_angle
 from rigidflock.graphs import ObservationGraph, fiedler_value, is_connected
 from rigidflock.sensors import SensorSpec
 from rigidflock.sim import (Scenario, ScenarioError, _EdgeCache,
-                            builtin_scenarios, formation_error, init_state,
-                            run, step, sweep)
+                            builtin_scenarios, formation_error,
+                            heading_loop_gain, init_state, run, step, sweep)
 
 
 def cell_steps(scen, positions, headings, cache=None):
@@ -314,3 +314,13 @@ def test_non_finite_measurement_and_state_are_named():
             pytest.raises(FloatingPointError, match="headings at step 1"):
         next(cell_steps(far, np.array([[0.0, 0.0, 0.0], [7e153, 7e153, 0.0]]),
                         np.zeros(2)))
+
+
+def test_heading_loop_gain_sums_each_observers_desired_offsets():
+    # agent 0 observes 1 (|d|^2 = 1); agent 1 observes 0 and 2 (1 + 4);
+    # agent 2 observes nobody
+    desired = tuple(AgentPose([x, 0.0, 0.0], 0.0) for x in (0.0, 1.0, 3.0))
+    graph = ObservationGraph.from_pairs(3, [(0, 1), (1, 0), (1, 2)])
+    scen = Scenario(desired, graph, ControllerConfig(k_e=0.5),
+                    SensorSpec(rate_hz=20.0))
+    assert heading_loop_gain(scen) == 0.5 / 20.0 * 5.0
