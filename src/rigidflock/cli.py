@@ -222,13 +222,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sim1d(args) -> int:
     with open(args.config) as fh:
-        raw = _typed(OneDConfig, json.load(fh), "config")
-    restrained = raw.pop("restrained", True)
-    if not isinstance(restrained, bool):
-        raise ScenarioError(f"invalid field restrained: expected bool, got "
-                            f"{restrained!r}")
+        raw = json.load(fh)
     cfg = _config(OneDConfig, raw, "config")
-    trace = run_1d_ensemble(cfg, restrained=restrained)
+    trace = run_1d_ensemble(cfg)
     _write_table(args.out, ["step", "mean_abs_dd", "sigma_a", "mean_abs_dv"],
                  np.column_stack([np.arange(cfg.horizon), trace.mean_abs_dd,
                                   trace.sigma_a, trace.mean_abs_dv]))
@@ -250,8 +246,7 @@ def _cmd_sim1d(args) -> int:
         with open(args.metrics, "w") as fh:
             json.dump(payload, fh, indent=2)
         outputs.append(args.metrics)
-    write_manifest(args.out, {**raw, "restrained": restrained}, cfg.seed,
-                   outputs)
+    write_manifest(args.out, raw, cfg.seed, outputs)
     return 0
 
 
@@ -321,30 +316,39 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _finite(name: str, value):
+    """value, or a FloatingPointError naming it if it overflowed."""
+    if not np.all(np.isfinite(value)):
+        raise FloatingPointError(f"{name} is not finite (overflow)")
+    return value
+
+
 def _cmd_audit(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     scen = parse_scenario(args.scenario)
-    m_desired = m_matrix(scen.desired, scen.graph)
+    m_desired = _finite("M at the desired formation",
+                        m_matrix(scen.desired, scen.graph))
     pd_ok, minors = is_positive_definite_minors(m_desired)
     rng = np.random.default_rng(np.random.SeedSequence(scen.seed,
                                                        spawn_key=(11,)))
     residuals = []
     pd_flags = []
-    for _ in range(args.samples):
+    for s in range(args.samples):
         poses = tuple(AgentPose(rng.uniform(-10, 10, 3),
                                 rng.uniform(-math.pi, math.pi))
                       for _ in range(scen.graph.n))
         residuals.append(gradient_consistency_residual(
             poses, scen.desired, scen.graph, scen.controller.k_e))
-        ok, _ = is_positive_definite_minors(m_matrix(poses, scen.graph))
-        pd_flags.append(ok)
+        m = _finite(f"M at sample {s}", m_matrix(poses, scen.graph))
+        pd_flags.append(is_positive_definite_minors(m)[0])
     out = {
         "scenario": scen.name,
         "desired_pd": pd_ok,
         "desired_minors": minors,
         "samples": args.samples,
-        "gradient_residual_max": max(residuals),
+        "gradient_residual_max": float(_finite("the gradient residual",
+                                               np.max(residuals))),
         "pd_fraction_random_poses": float(np.mean(pd_flags)),
         "heading_loop_gain": heading_loop_gain(scen),
     }

@@ -2,16 +2,17 @@
 
 Wrapped angles on the half-open interval (-pi, pi], planar z-axis rotations,
 the agent pose container, the stacked relative-pose map, and the standard
-normal CDF and its inverse. Everything here is pure and stateless.
+normal CDF and its inverse from the standard library. Everything here is
+pure and stateless.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 TAU = 2.0 * math.pi
 
@@ -106,8 +107,9 @@ def std_normal_cdf(x: float) -> float:
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for p in (0, 1); exactly 0.0 at p = 0.5."""
+    """Inverse standard normal CDF for p in (0, 1), by statistics.NormalDist
+    (Wichura's AS241); exactly 0.0 at p = 0.5."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must be in (0, 1), got {p!r}")
-    return float(ndtri(p))
+    return NormalDist().inv_cdf(p)

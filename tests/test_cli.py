@@ -202,6 +202,22 @@ def test_audit_flags_singular_m_for_mutual_pair(capsys):
     assert out["gradient_residual_max"] < 1e-10
 
 
+def test_audit_overflow_exits_1_and_names_it(tmp_path, capsys):
+    # finite, so accepted as input, but M = H H^T overflows: a numerical
+    # failure, not bad input
+    scen_file = tmp_path / "far.json"
+    scen_file.write_text(json.dumps({
+        "agents": [{"p": [1e200, 0, 0]}, {"p": [0, 0, 0]}],
+        "edges": [[0, 1], [1, 0]]}))
+    rc = main(["audit", "--scenario", str(scen_file), "--samples", "3"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # stderr is exactly one JSON object
+    assert err["error"] == "FloatingPointError"
+    assert "M at the desired formation" in err["message"]
+
+
 # (k_e / f) max_i sum_j |d_ij|^2 at the builtins' 10 Hz rate
 BUILTIN_LOOP_GAINS = {"pair": 1.25, "triangle3": 2.5, "triangle6": 16.25,
                       "triangle6_sparse": 13.75}
@@ -409,11 +425,13 @@ def test_sweep_accepts_shortest_horizon(tmp_path):
     assert len(rows) == 3 and rows[1].split(",")[3] != ""
 
 
-def test_import_does_not_load_scipy_integrate():
-    # quad is imported inside expected_coherence_time, so loading the
-    # package or the CLI does not pay for scipy.integrate.
+def test_import_loads_no_scipy():
+    # numpy and the standard library are the whole runtime: loading the
+    # package and the CLI imports no scipy module at all
     code = ("import sys, rigidflock, rigidflock.cli; "
-            "assert 'scipy.integrate' not in sys.modules")
+            "loaded = sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded")
     src = str(Path(cli.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))

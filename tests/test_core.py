@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from rigidflock.core import (AgentPose, pose_arrays, relative_poses, rotz,
                              std_normal_cdf, std_normal_quantile, wrap_angle)
@@ -117,6 +118,17 @@ def test_std_normal_quantile_values():
         std_normal_quantile(1.0)
     with pytest.raises(ValueError):
         std_normal_quantile(-0.1)
+
+
+def test_std_normal_quantile_matches_ndtri_oracle():
+    # statistics.NormalDist against scipy's ndtri: exact at the centre, a
+    # few ulp elsewhere, on (1e-6, 0.5] and its mirror (0.5, 1 - 1e-6]
+    assert std_normal_quantile(0.5) == 0.0
+    ps = np.geomspace(1e-6, 0.5, 400)
+    for p in np.concatenate([ps, 1.0 - ps]):
+        want = float(ndtri(p))
+        assert std_normal_quantile(float(p)) \
+            == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
 def test_cdf_quantile_round_trip():

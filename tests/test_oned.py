@@ -1,10 +1,12 @@
 """Scalar stochastic model: steps, closed forms, ensembles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from quad_coherence import quad_coherence_time
 from rigidflock.core import std_normal_quantile
 from rigidflock.oned import (OneDConfig, beta_interp, conditional_variance_at_target,
                              continuous_state_1d, convergence_metrics_1d,
@@ -13,8 +15,7 @@ from rigidflock.oned import (OneDConfig, beta_interp, conditional_variance_at_ta
                              kl_divergence_gaussianity, motion_probability,
                              restrained_displacement, run_1d_ensemble,
                              run_1d_two_agents, sigma_ss_proportional,
-                             sigma_ss_restrained, step_1d_proportional,
-                             step_1d_restrained, stopping_probability,
+                             sigma_ss_restrained, stopping_probability,
                              variance_closed_form)
 
 Q03 = std_normal_quantile(0.3)
@@ -32,9 +33,9 @@ def cfg(**kw):
 
 def test_proportional_step_examples():
     c = cfg(k_ef=1.0, d=2.0)
-    assert step_1d_proportional(5.0, 5.0, c) == 2.0
+    assert 5.0 + restrained_displacement(c.d - 5.0, c.sigma_m, c) == 2.0
     c = cfg(k_ef=0.5, d=2.0)
-    assert step_1d_proportional(4.0, 4.0, c) == 3.0
+    assert 4.0 + restrained_displacement(c.d - 4.0, c.sigma_m, c) == 3.0
 
 
 def test_proportional_step_identity():
@@ -44,7 +45,7 @@ def test_proportional_step_identity():
         x = rng.uniform(-10, 10)
         e = rng.normal()
         m = x - e  # e is the negated measurement error
-        got = step_1d_proportional(x, m, c)
+        got = x + restrained_displacement(c.d - m, c.sigma_m, c)
         want = c.d + (x - c.d) * (1 - c.k_ef) + c.k_ef * e
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -55,8 +56,8 @@ def test_restrained_step_half_equals_proportional():
     for _ in range(200):
         x = rng.uniform(-5, 5)
         m = x + rng.normal()
-        assert step_1d_restrained(x, m, c.sigma_m, c) \
-            == step_1d_proportional(x, m, c)
+        assert x + restrained_displacement(c.d - m, c.sigma_m, c) \
+            == x + c.k_ef * (c.d - m)
 
 
 def test_restrained_step_dead_zone():
@@ -66,17 +67,17 @@ def test_restrained_step_dead_zone():
     x = 3.0
     for frac in (-0.9, -0.5, 0.0, 0.5, 0.9):
         m = c.d - frac * zone
-        assert step_1d_restrained(x, m, c.sigma_m, c) == x
+        assert x + restrained_displacement(c.d - m, c.sigma_m, c) == x
     # just outside the zone the step is nonzero
     m = c.d - 1.01 * zone
-    assert step_1d_restrained(x, m, c.sigma_m, c) != x
+    assert x + restrained_displacement(c.d - m, c.sigma_m, c) != x
 
 
 def test_restrained_step_displacement_value():
     c = cfg(k_ef=0.5, ell=0.3, d=0.0, sigma_m=1.5)
     m = c.d - 2.0 * c.sigma_m  # measured error of +2 sigma
     x = 5.0
-    got = step_1d_restrained(x, m, c.sigma_m, c)
+    got = x + restrained_displacement(c.d - m, c.sigma_m, c)
     assert got - x == pytest.approx(c.k_ef * c.sigma_m * (2.0 + Q03),
                                     rel=1e-12)
 
@@ -88,7 +89,7 @@ def test_restrained_keeps_quantile_band_on_exact_measurements():
     c = cfg(k_ef=0.7, ell=0.2, d=0.0, sigma_m=1.0)
     q = abs(c.quantile)
     for x in np.linspace(q * 1.0001, 6.0, 200):
-        x2 = step_1d_restrained(x, x, c.sigma_m, c)
+        x2 = x + restrained_displacement(c.d - x, c.sigma_m, c)
         assert x2 - c.d >= q * c.sigma_m - 1e-12
         assert x2 <= x
 
@@ -251,6 +252,15 @@ def test_coherence_time_formula_values():
     for ell, want in [(0.45, 1.1083), (0.3, 1.6494)]:
         c = cfg(k_ef=0.1, ell=ell, sigma_m=0.1)
         assert expected_coherence_time(c) == pytest.approx(want, abs=1e-2)
+
+
+def test_coherence_time_grid_sum_matches_quad_oracle():
+    for k_ef, ell, sigma in itertools.product(
+            (0.1, 0.5, 1.0, 1.5, 1.9), (0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5),
+            (0.01, 0.1, 1.0, 3.0, 30.0)):
+        c = cfg(k_ef=k_ef, ell=ell, sigma_m=sigma)
+        assert expected_coherence_time(c) \
+            == pytest.approx(quad_coherence_time(c), rel=1e-10)
 
 
 def test_coherence_time_simulation_matches_formula():
