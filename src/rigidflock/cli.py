@@ -11,7 +11,6 @@ primary output so the run can be regenerated from the artifact alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
 import hashlib
@@ -46,11 +45,15 @@ def _fmt(x) -> str:
 
 
 def _write_table(path, header, table):
-    """A CSV of the header and one line per row of a 2-D array."""
+    """A CSV of the header and one CRLF line per row of a 2-D array, its
+    cells as _fmt writes them; a float array's rows take one format."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row.tolist()] for row in table)
+        fh.write(",".join(header) + "\r\n")
+        if table.dtype == float:
+            line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+            fh.writelines(line % tuple(row) for row in table)
+        else:
+            fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in table)
 
 
 def canonical_json(obj) -> str:

@@ -37,6 +37,7 @@ from .core import rotate_z, std_normal_quantile, wrap_angle
 # Floor used wherever a covariance eigenvalue must stay positive (m^2 scale
 # 1e-8), far below any realistic sensor noise and far above double rounding.
 DELTA = 1e-4
+_DELTA2_I = DELTA ** 2 * np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -96,14 +97,15 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     rr = np.hypot(p_dr[..., 0], p_dr[..., 1])
     ok = rr > 0.0
     rad = np.zeros(p_dr.shape)
-    rad[ok, :2] = p_dr[ok, :2] / rr[ok, None]
-    tan = np.stack([-rad[..., 1], rad[..., 0], np.zeros(rr.shape)], axis=-1)
+    rad[..., :2] = p_dr[..., :2] / np.where(ok, rr, 1.0)[..., None]
+    tan = np.zeros(p_dr.shape)
+    tan[..., 0], tan[..., 1] = -rad[..., 1], rad[..., 0]
     lam_r = rr ** 2 * (1.0 - np.cos(sig_c)) ** 2
     lam_t = rr ** 2 * np.sin(sig_c) ** 2
-    cov_t = (lam_r[..., None, None] * np.einsum("...j,...k", rad, rad)
-             + lam_t[..., None, None] * np.einsum("...j,...k", tan, tan))
+    cov_t = (lam_r[..., None, None] * (rad[..., None] * rad[..., None, :])
+             + lam_t[..., None, None] * (tan[..., None] * tan[..., None, :]))
     cov_t[..., 2, 2] += rr ** 2 * DELTA ** 2
-    cov_t[~ok] = DELTA ** 2 * np.eye(3)
+    cov_t = np.where(ok[..., None, None], cov_t, _DELTA2_I)
 
     # Position terms: the setpoint backs off from the measurement along the
     # raw error a by sigma q, sigma the standard deviation of a reduced
@@ -111,10 +113,10 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     # The clamp passes y iff m > -q. Both norms come from one stacked solve,
     # on errors scaled to unit max-norm so that tiny ones cannot underflow
     # to m = 0 (at q = 0 every nonzero error must pass).
-    a = np.stack([p_m - p_d, p_m - p_hat])
+    a = np.array([p_m - p_d, p_m - p_hat])
     scale = np.abs(a).max(axis=-1)
     unit = a / np.where(scale > 0.0, scale, 1.0)[..., None]
-    cov = np.stack([cov_p, cov_p + cov_t])
+    cov = np.array([cov_p, cov_p + cov_t])
     sol = np.linalg.solve(cov, unit[..., None])[..., 0]
     m = scale * np.sqrt(np.maximum(np.einsum("...i,...i->...", unit, sol),
                                    0.0))
@@ -128,9 +130,9 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     # does a zero raw term, which covers degenerate horizontal projections.
     r_m = np.hypot(p_m[..., 0], p_m[..., 1])
     okm = r_m > 0.0
+    r_safe = np.where(okm, r_m, 1.0)
     t_hat = np.zeros(p_m.shape)
-    t_hat[okm, 0] = -p_m[okm, 1] / r_m[okm]
-    t_hat[okm, 1] = p_m[okm, 0] / r_m[okm]
+    t_hat[..., 0], t_hat[..., 1] = -p_m[..., 1] / r_safe, p_m[..., 0] / r_safe
     var_tan = np.einsum("...i,...ij,...j->...", t_hat, cov_p, t_hat)
     # hypot cannot underflow to zero where r_m > 0, so theta stays finite.
     dist = np.where(okm, np.hypot(r_m, p_m[..., 2]), 1.0)

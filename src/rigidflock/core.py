@@ -28,27 +28,31 @@ def wrap_angle(theta):
     The scalar path uses IEEE remainder, so ``wrap(a) - a`` is an exact
     integer multiple of 2*pi. The boundary maps as wrap(-pi) = +pi.
     """
-    if np.isscalar(theta) or isinstance(theta, (float, int)):
-        t = float(theta)
-        if not math.isfinite(t):
-            raise ValueError(f"angle must be finite, got {t!r}")
-        w = math.remainder(t, TAU)
-        if w <= -math.pi:
-            w += TAU
-        return w
-    arr = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("angle array must be finite")
-    return math.pi - np.mod(math.pi - arr, TAU)
+    if isinstance(theta, np.ndarray) or not np.isscalar(theta):
+        arr = np.asarray(theta, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("angle array must be finite")
+        return math.pi - np.mod(math.pi - arr, TAU)
+    t = float(theta)
+    if not math.isfinite(t):
+        raise ValueError(f"angle must be finite, got {t!r}")
+    w = math.remainder(t, TAU)
+    if w <= -math.pi:
+        w += TAU
+    return w
 
 
 def rotate_z(v, psi):
-    """Rotate (..., 3) vectors about the z axis by angles psi (...)."""
+    """Rotate (..., 3) vectors about the z axis by angles psi (...), keeping
+    v's memory layout unless psi adds axes: reductions sum in memory order,
+    so callers' norms keep their bits only if the layout is kept."""
     v = np.asarray(v, dtype=float)
     c, s = np.cos(psi), np.sin(psi)
     x = c * v[..., 0] - s * v[..., 1]
-    y = s * v[..., 0] + c * v[..., 1]
-    return np.stack([x, y, np.broadcast_to(v[..., 2], x.shape)], axis=-1)
+    out = np.empty_like(v, shape=x.shape + (3,))
+    out[..., 0], out[..., 1] = x, s * v[..., 0] + c * v[..., 1]
+    out[..., 2] = v[..., 2]
+    return out
 
 
 def rotz(psi: float) -> np.ndarray:

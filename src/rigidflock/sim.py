@@ -195,9 +195,10 @@ def step(positions, headings, z, dt, q, scenario: Scenario,
     pos_terms, ang_terms = edge_terms(p_m, psi_m, cache.p_d, cache.psi_d, q,
                                       cov_p, spec.heading_sigma ** 2)
     # Each edge's observer as a row of one table of all cells' agents.
+    rows = cache.obs_i if dt.ndim == 1 else (
+        np.arange(dt.size).reshape(dt.shape)[..., cache.obs_i].ravel())
     u, omega = agent_commands(
-        np.arange(dt.size).reshape(dt.shape)[..., cache.obs_i].ravel(),
-        pos_terms.reshape(-1, 3), ang_terms.ravel(), dt.size,
+        rows, pos_terms.reshape(-1, 3), ang_terms.ravel(), dt.size,
         scenario.controller, dt.ravel())
     u, omega = u.reshape(positions.shape), omega.reshape(dt.shape)
 

@@ -1,5 +1,6 @@
 """Command-line interface, serialization, manifests."""
 
+import csv
 import json
 import math
 import os
@@ -267,6 +268,33 @@ def test_csv_numbers_are_full_precision(tmp_path):
     e_f = float(row[2])
     # round-trips through the text exactly
     assert format(e_f, ".17g") == row[2]
+
+
+def _write_table_oracle(path, header, table):
+    """The cell-by-cell writer: csv.writer over _fmt of every cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([cli._fmt(v) for v in row.tolist()]
+                         for row in table)
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[math.nan, 0.0, -0.0, 1e-300],
+              [1e300, -1e300, 1e17, 2.0 ** 60],
+              [123456789012345678.0, -1e17, 0.1, 1.0 / 3.0],
+              [5e-324, -2.5, 3.0, math.nan]]),
+    np.array([[2 ** 53 + 1, True, 0.25, -(2 ** 60) - 3],
+              [False, 7, math.nan, -0.0]], dtype=object),
+])
+def test_write_table_bytes_equal_csv_writer(tmp_path, table):
+    header = [f"c{k}" for k in range(table.shape[1])]
+    cli._write_table(tmp_path / "a.csv", header, table)
+    _write_table_oracle(tmp_path / "b.csv", header, table)
+    got = (tmp_path / "a.csv").read_bytes()
+    assert got == (tmp_path / "b.csv").read_bytes()
+    assert got.count(b"\r\n") == table.shape[0] + 1
+    assert got.count(b"\n") == table.shape[0] + 1
 
 
 def test_rates_colon_spec_rejects_nonpositive_step():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from rigidflock.core import (AgentPose, pose_arrays, relative_poses, rotz,
-                             std_normal_cdf, std_normal_quantile, wrap_angle)
+from rigidflock.core import (AgentPose, pose_arrays, relative_poses, rotate_z,
+                             rotz, std_normal_cdf, std_normal_quantile,
+                             wrap_angle)
 
 TAU = 2 * math.pi
 
@@ -60,6 +61,33 @@ def test_rotz_basics():
     r = rotz(0.7)
     assert abs(np.linalg.det(r) - 1.0) < 1e-14
     assert np.allclose(r @ r.T, np.eye(3), atol=1e-15)
+
+
+def _rotate_z_stacked(v, psi):
+    """The np.stack form of rotate_z: the oracle of its values and of its
+    layout when psi adds no axes."""
+    c, s = np.cos(psi), np.sin(psi)
+    x = c * v[..., 0] - s * v[..., 1]
+    y = s * v[..., 0] + c * v[..., 1]
+    return np.stack([x, y, np.broadcast_to(v[..., 2], x.shape)], axis=-1)
+
+
+def test_rotate_z_keeps_layout_and_bits_of_stacked_form():
+    # A (T, E, 3) history indexed by edge, as relative_poses builds it: the
+    # edge axis is outermost in memory, and the rotation keeps that layout.
+    rng = np.random.default_rng(4)
+    edges = [0, 2, 3, 1, 2]
+    v = rng.standard_normal((7, 4, 3))[:, edges, :]
+    psi = rng.uniform(-4.0, 4.0, (7, 4))[:, edges]
+    assert not v.flags.c_contiguous
+    got, want = rotate_z(v, psi), _rotate_z_stacked(v, psi)
+    assert got.strides == v.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    # psi broadcasting v to a larger shape gives a fresh C-ordered array
+    p_d = rng.standard_normal((5, 3))
+    got = rotate_z(p_d, psi)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _rotate_z_stacked(p_d, psi).tobytes()
 
 
 def _rel(q_i, q_j):

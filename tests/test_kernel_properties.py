@@ -19,7 +19,8 @@ from rigidflock.sensors import measurement_stream
 from rigidflock.sim import (Scenario, _EdgeCache, _error_series, _records,
                             init_state, run)
 from det_minors import det_minors
-from scalar_law import Des, Meas, restrained_edge_terms, stack
+from scalar_law import (Des, Meas, approx_rotated_desired,
+                        restrained_edge_terms, stack)
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
 angle = st.floats(-3.1, 3.1, allow_nan=False)
@@ -57,6 +58,23 @@ def test_kernel_matches_scalar_law(batch, ell):
         scale = 1.0 + np.linalg.norm(meas.p_m) + np.linalg.norm(des.p_d)
         assert np.abs(pos[e] - ref_pos).max() <= 1e-12 * scale
         assert abs(ang[e] - ref_ang) <= 1e-12 * scale ** 2
+
+
+@given(edges, st.floats(0.001, 0.49), st.floats(0.001, 0.49))
+def test_position_terms_shrink_with_ell_unless_errors_oppose(batch, l1, l2):
+    # Both factors 1 + q / m of pos = a1 f1 + a2 f2 grow with ell, and
+    # a1 . a2 >= 0 makes the norm grow in each: a smaller ell shrinks it.
+    assume(l1 != l2)
+    l1, l2 = sorted((l1, l2))
+    p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
+    pos1, pos2 = (edge_terms(p_m, psi_m, p_d, psi_d, std_normal_quantile(ell),
+                             cov, var_psi)[0] for ell in (l1, l2))
+    for e, (meas, des) in enumerate(batch):
+        a1 = meas.p_m - des.p_d
+        a2 = meas.p_m - approx_rotated_desired(meas, des)[0]
+        if a1 @ a2 >= 0.0:
+            assert np.linalg.norm(pos1[e]) \
+                <= np.linalg.norm(pos2[e]) * (1.0 + 1e-12) + 1e-300
 
 
 def _both_laws(batch, cfg, dt=1.0):
