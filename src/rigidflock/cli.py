@@ -227,6 +227,9 @@ def _cmd_sim1d(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
     cfg = _config(OneDConfig, raw, "config")
+    if cfg.horizon < 10:  # the convergence metrics need 10 samples
+        raise ScenarioError(f"invalid field horizon: sim1d needs at least 10 "
+                            f"steps, got {cfg.horizon}")
     trace = run_1d_ensemble(cfg)
     _write_table(args.out, ["step", "mean_abs_dd", "sigma_a", "mean_abs_dv"],
                  np.column_stack([np.arange(cfg.horizon), trace.mean_abs_dd,

@@ -27,6 +27,13 @@ from .core import TAU, std_normal_cdf, std_normal_quantile
 BETA_NODES = ((0.1, 0.7251), (0.5, 0.8266), (1.0, 1.043),
               (1.5, 1.498), (1.9, 3.177))
 
+# 1D noise is drawn in blocks of at most _CHUNK_FLOATS floats. A trade-off
+# batch holds at most _BATCH_FLOATS history floats: two cells of 1001 steps
+# x 200 runs. Measured, a third cell raised the peak RSS of a trade-off job
+# above that of stepping cells alone, and so did 256 kB noise blocks.
+_CHUNK_FLOATS = 1 << 13
+_BATCH_FLOATS = 1 << 19
+
 
 @dataclass(frozen=True)
 class OneDConfig:
@@ -80,17 +87,37 @@ class EnsembleTrace:
     final_states: np.ndarray = field(repr=False, default=None)
 
 
-def restrained_displacement(dm, sigma_m, cfg: OneDConfig):
-    """Clamped restrained displacement given measured error dm = d - m.
+def restrain(dm, c, k_ef):
+    """Restrained displacement at measured error dm = d - m.
 
-    Moves toward the setpoint d + sign(dm) sigma Phi^-1(ell); zero whenever
-    |dm| falls inside the dead zone sigma |Phi^-1(ell)|. At ell = 0.5 the
-    quantile is exactly 0.0 and this is the proportional displacement
-    k_ef dm, bit for bit. Works elementwise on arrays.
+    k_ef (dm + sign(dm) c) where |dm| > -c, a move toward the setpoint
+    d + sign(dm) sigma_m Phi^-1(ell); 0.0 inside the dead zone and for a nan
+    dm. c = sigma_m Phi^-1(ell) <= 0 is minus the zone's half-width, 0.0 at
+    ell = 0.5, where this is k_ef dm. c and k_ef are scalars or per-column
+    arrays. Bit for bit the direct np.where form: for dm < 0, |dm| + c
+    rounds to -(dm - c), and its sign decides the dead zone exactly.
     """
-    q = cfg.quantile
-    y = dm + np.sign(dm) * sigma_m * q
-    return np.where(np.abs(dm) > -sigma_m * q, cfg.k_ef * y, 0.0)
+    y = np.abs(dm) + c
+    return np.where(y > 0.0, k_ef * np.copysign(y, dm), 0.0)
+
+
+def restrained_displacement(dm, sigma_m, cfg: OneDConfig):
+    """restrain(dm, c, k_ef) with c = sigma_m Phi^-1(cfg.ell), cfg.k_ef."""
+    return restrain(dm, sigma_m * cfg.quantile, cfg.k_ef)
+
+
+def _normals(rngs, steps: int, shape: tuple, scale: float):
+    """Per step, one standard_normal(shape) draw of each generator times
+    scale, as one (len(rngs), *shape) array. They come in blocks of at most
+    _CHUNK_FLOATS floats; a (T, *shape) block holds the numbers of T
+    successive draws, so the blocks change no result."""
+    rows = max(1, _CHUNK_FLOATS // (len(rngs) * math.prod(shape)))
+    for lo in range(0, steps, rows):
+        block = np.empty((len(rngs), min(rows, steps - lo)) + shape)
+        for rng, draws in zip(rngs, block):
+            rng.standard_normal(out=draws)
+        block *= scale
+        yield from block.swapaxes(0, 1)
 
 
 def continuous_state_1d(t: float, x0: float, cfg: OneDConfig) -> float:
@@ -229,24 +256,22 @@ def estimate_coherence_time(cfg: OneDConfig, steps: int = 1_000_000,
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
                                                        spawn_key=(7,)))
-    q = cfg.quantile
-    s = cfg.sigma_m
-    thr = -s * q
-    k_ef = cfg.k_ef
-    d = cfg.d
+    half = -cfg.sigma_m * cfg.quantile  # dead-zone half-width
+    k_ef, d = cfg.k_ef, cfg.d
     x = d
-    moves = 0
-    noise = rng.standard_normal(steps + burn) * s
-    for i in range(steps + burn):
-        dm = d - (x + noise[i])
-        if dm > thr:
-            x += k_ef * (dm + s * q)
-            if i >= burn:
-                moves += 1
-        elif dm < -thr:
-            x += k_ef * (dm - s * q)
-            if i >= burn:
-                moves += 1
+    # Python floats, not numpy scalars: the loop runs at interpreter speed.
+    for length in (burn, steps):
+        moves = 0
+        for lo in range(0, length, _CHUNK_FLOATS):
+            for z in (rng.standard_normal(min(_CHUNK_FLOATS, length - lo))
+                      * cfg.sigma_m).tolist():
+                dm = d - (x + z)
+                if dm > half:
+                    x += k_ef * (dm - half)
+                    moves += 1
+                elif dm < -half:
+                    x += k_ef * (dm + half)
+                    moves += 1
     if moves == 0:
         raise ArithmeticError("no motion events observed")
     return steps / moves
@@ -291,16 +316,16 @@ def run_1d_ensemble(cfg: OneDConfig, restrained: bool = True) -> EnsembleTrace:
     if not restrained:
         cfg = replace(cfg, ell=0.5)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    n = cfg.n_agents
-    x = cfg.d + rng.standard_normal(n) * cfg.sigma_init
+    x = cfg.d + rng.standard_normal(cfg.n_agents) * cfg.sigma_init
+    c = cfg.sigma_m * cfg.quantile
     mean_abs_dd = np.empty(cfg.horizon)
     sigma_a = np.empty(cfg.horizon)
     mean_abs_dv = np.empty(cfg.horizon)
     v_prev = None
-    for k in range(cfg.horizon):
-        m = x + rng.standard_normal(n) * cfg.sigma_m
-        disp = restrained_displacement(cfg.d - m, cfg.sigma_m, cfg)
-        x = x + disp
+    for k, (z,) in enumerate(_normals([rng], cfg.horizon, (cfg.n_agents,),
+                                      cfg.sigma_m)):
+        disp = restrain(cfg.d - (x + z), c, cfg.k_ef)
+        x += disp
         v = disp * cfg.f
         mean_abs_dd[k] = np.abs(x - cfg.d).mean()
         sigma_a[k] = x.std()
@@ -331,18 +356,18 @@ def run_1d_two_agents(cfg: OneDConfig) -> TwoAgentTrace:
     n = cfg.n_agents
     p1 = np.zeros(n)
     p2 = np.full(n, cfg.d + cfg.sigma_init)
-    s = cfg.sigma_m
+    c = cfg.sigma_m * cfg.quantile
     delta_mean = np.empty(cfg.horizon)
     delta_abs_mean = np.empty(cfg.horizon)
     clamp_rate = np.empty(cfg.horizon)
-    for k in range(cfg.horizon):
-        delta12 = p2 - p1 - cfg.d
-        d12 = delta12 + rng.standard_normal(n) * s
-        d21 = -delta12 + rng.standard_normal(n) * s
-        move1 = restrained_displacement(d12, s, cfg)
-        move2 = restrained_displacement(d21, s, cfg)
-        p1 = p1 + move1
-        p2 = p2 + move2
+    delta12 = p2 - p1 - cfg.d
+    # Per step, the draws for agent 1's measurement, then agent 2's.
+    for k, ((z1, z2),) in enumerate(_normals([rng], cfg.horizon, (2, n),
+                                             cfg.sigma_m)):
+        move1 = restrain(delta12 + z1, c, cfg.k_ef)
+        move2 = restrain(-delta12 + z2, c, cfg.k_ef)
+        p1 += move1
+        p2 += move2
         delta12 = p2 - p1 - cfg.d
         delta_mean[k] = delta12.mean()
         delta_abs_mean[k] = np.abs(delta12).mean()
@@ -375,24 +400,33 @@ def convergence_metrics_1d(history, f: float) -> dict:
     size = x.shape[0]
     if size < 10:
         raise ValueError("need a history of at least 10 samples")
-    # Suffix RMS about the target, from reverse cumulative sums of squares.
-    count = np.arange(size, 0, -1, dtype=float).reshape(
-        (size,) + (1,) * (x.ndim - 1))
-    rms = np.sqrt(np.cumsum(x[::-1] ** 2, axis=0)[::-1] / count)
-    inside = np.abs(x) <= 3.0 * rms
+    # Three suffix RMS about the target, in place; it bounds both readings.
+    band = np.square(x)
+    np.cumsum(band[::-1], axis=0, out=band[::-1])
+    band /= np.arange(size, 0, -1.0).reshape((size,) + (1,) * (x.ndim - 1))
+    np.multiply(np.sqrt(band, out=band), 3.0, out=band)
+    ax = np.abs(x)
+    inside = ax <= band
     converged = inside.any(axis=0)
     k_c = np.where(converged, np.argmax(inside, axis=0), size - 1)
-    runs = x.reshape(size, -1)  # (M, R) view; R = 1 for a single run
+    # Literal band-exit reading of the convergence index, for comparison.
+    exits = ax[:-1] > band[1:]
+    k_literal = np.where(exits.any(axis=0), np.argmax(exits, axis=0) + 1, 0)
+    v = band[:-1]  # the velocities; their differences go into ax
+    np.multiply(np.subtract(x[1:], x[:-1], out=v), f, out=v)
+    dv = np.subtract(v[1:], v[:-1], out=ax[:-2])
+    mean_dv = np.abs(dv, out=dv).mean(axis=0)
+    del band, ax, inside, exits, v, dv  # freed before the tail copies
+    # One std per tail start over a (runs, tail) copy, bit for bit per run.
+    runs = x.reshape(size, -1).T
     tail_start = np.maximum(k_c, size // 2).ravel()
-    sigma_t = np.array([runs[t:, r].std() for r, t in enumerate(tail_start)]
-                       ).reshape(k_c.shape)
-    v = np.diff(x, axis=0) * f
-    mean_dv = np.abs(np.diff(v, axis=0)).mean(axis=0)
+    sigma_t = np.empty(tail_start.shape)
+    for t in set(tail_start.tolist()):
+        same = np.flatnonzero(tail_start == t)
+        sigma_t[same] = runs[same, t:].std(axis=1)
+    sigma_t = sigma_t.reshape(k_c.shape)
     # One run gives plain Python scalars, R runs give arrays over the runs.
     out = (lambda val: np.asarray(val).item()) if x.ndim == 1 else np.asarray
-    # Literal band-exit reading of the convergence index, for comparison.
-    exits = np.abs(x[:-1]) > 3.0 * rms[1:]
-    k_literal = np.where(exits.any(axis=0), np.argmax(exits, axis=0) + 1, 0)
     return {
         "t_c": out(k_c / f), "sigma_t": out(sigma_t),
         "mean_dv": out(mean_dv),
@@ -409,29 +443,35 @@ def tradeoff_sweep(k_grid, ells, n_runs: int = 500, horizon: int = 2000,
                    sigma_init: float = 100.0, seed: int = 0):
     """(t_c, sigma_t, mean_dv) averaged over runs, per (k_ef, ell) cell.
 
-    Every cell shares nothing but the base seed; runs inside a cell are the
-    columns of one vectorized ensemble. Returns {(k_ef, ell): (t_c, sigma_t,
-    mean_dv)}.
+    Every cell shares nothing but the base seed and draws from its own
+    stream. Cells step together as columns of one ensemble, as many as
+    _BATCH_FLOATS history floats hold, bit-identical to stepping alone.
+    Returns {(k_ef, ell): (t_c, sigma_t, mean_dv)}.
     """
+    cells = [OneDConfig(k_ef=k_ef, ell=ell, sigma_m=sigma_m, f=f,
+                        sigma_init=sigma_init, n_agents=n_runs,
+                        horizon=horizon, seed=seed)
+             for ell in ells for k_ef in k_grid]
+    if not cells:  # nothing validated the sizes below
+        return {}
+    per_batch = max(1, _BATCH_FLOATS // ((horizon + 1) * n_runs))
+    states = np.empty((horizon + 1, min(per_batch, len(cells)), n_runs))
     out = {}
-    for ell in ells:
-        for k_ef in k_grid:
-            cfg = OneDConfig(k_ef=k_ef, ell=ell, sigma_m=sigma_m, f=f,
-                             sigma_init=sigma_init, n_agents=n_runs,
-                             horizon=horizon, seed=seed)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(3, int(k_ef * 1e6),
-                                                        int(ell * 1e6))))
-            x = rng.standard_normal(n_runs) * sigma_init
-            states = np.empty((horizon + 1, n_runs))
-            states[0] = x
-            for k in range(horizon):
-                m = x + rng.standard_normal(n_runs) * sigma_m
-                x = x + restrained_displacement(cfg.d - m, sigma_m, cfg)
-                states[k + 1] = x
-            m = convergence_metrics_1d(states, f)
-            out[(k_ef, ell)] = tuple(float(m[key].mean()) for key in
-                                     ("t_c", "sigma_t", "mean_dv"))
+    for lo in range(0, len(cells), per_batch):
+        batch = cells[lo:lo + per_batch]
+        history = states[:, :len(batch)]
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(
+            3, int(cfg.k_ef * 1e6), int(cfg.ell * 1e6)))) for cfg in batch]
+        history[0] = [rng.standard_normal(n_runs) * sigma_init for rng in rngs]
+        c = np.array([[sigma_m * cfg.quantile] for cfg in batch])
+        k_ef = np.array([[cfg.k_ef] for cfg in batch])
+        for k, z in enumerate(_normals(rngs, horizon, (n_runs,), sigma_m)):
+            x = history[k]
+            np.add(x, restrain(0.0 - (x + z), c, k_ef), out=history[k + 1])
+        for j, cfg in enumerate(batch):
+            m = convergence_metrics_1d(history[:, j], f)
+            out[(cfg.k_ef, cfg.ell)] = tuple(
+                float(m[key].mean()) for key in ("t_c", "sigma_t", "mean_dv"))
     return out
 
 

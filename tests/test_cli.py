@@ -390,6 +390,7 @@ class RawJSON(str):
     ("sim4d", dict(MINIMAL, controller={"k_e": math.nan}), "k_e"),
     ("sim4d", dict(MINIMAL, sensor={"rate_hz": math.inf}), "rate_hz"),
     ("sim1d", {"k_ef": 0.5, "sigma_m": math.nan}, "sigma_m"),
+    ("sim1d", {"k_ef": 0.5, "horizon": 5}, "horizon"),
 ])
 def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
                                             config, field):

@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oned_loops
 from quad_coherence import quad_coherence_time
+from rigidflock import oned
 from rigidflock.core import std_normal_quantile
 from rigidflock.oned import (OneDConfig, beta_interp, conditional_variance_at_target,
                              continuous_state_1d, convergence_metrics_1d,
                              effective_gain, estimate_coherence_time,
                              exp_approx_1d, expected_coherence_time,
                              kl_divergence_gaussianity, motion_probability,
-                             restrained_displacement, run_1d_ensemble,
-                             run_1d_two_agents, sigma_ss_proportional,
-                             sigma_ss_restrained, stopping_probability,
+                             restrain, restrained_displacement,
+                             run_1d_ensemble, run_1d_two_agents,
+                             sigma_ss_proportional, sigma_ss_restrained,
+                             stopping_probability, tradeoff_sweep,
                              variance_closed_form)
 
 Q03 = std_normal_quantile(0.3)
@@ -365,3 +370,166 @@ def test_metrics_stationary_noise_converges_immediately():
 def test_metrics_requires_history():
     with pytest.raises(ValueError):
         convergence_metrics_1d([1.0, 2.0], 10.0)
+
+
+# --- bit-identity with the per-step loops ------------------------------------
+#
+# tests/oned_loops.py keeps the direct forms: one np.where displacement,
+# one draw per step, one cell at a time, metrics from fresh temporaries.
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+ORACLE_ELLS = (0.05, 0.3, 0.5)
+TINY = 5e-324  # the smallest subnormal
+
+
+@pytest.mark.parametrize("ell", ORACLE_ELLS)
+@pytest.mark.parametrize("sigma_m", (1.0, 0.0, 3e-310))
+@pytest.mark.parametrize("k_ef", (0.5, 1e-300, 2.05))
+def test_restrain_matches_direct_form_on_adversarial_inputs(ell, sigma_m,
+                                                            k_ef):
+    q = std_normal_quantile(ell)
+    c = sigma_m * q
+    edge = [c, -c, np.nextafter(c, 0.0), np.nextafter(-c, 0.0),
+            np.nextafter(c, -np.inf), np.nextafter(-c, np.inf)]
+    dm = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, TINY, -TINY,
+                   2.2e-308, -2.2e-308, 1e-310, -1e-310, 1e308, -1e308]
+                  + edge + list(np.random.default_rng(3).standard_normal(64)))
+    with np.errstate(over="ignore"):  # k_ef 2.05 takes 1e308 past the max
+        want = oned_loops.direct_displacement(dm, sigma_m, q, k_ef)
+        assert same_bits(restrain(dm, c, k_ef), want)
+        assert same_bits(restrained_displacement(
+            dm, sigma_m, cfg(k_ef=k_ef, ell=ell, sigma_m=sigma_m)), want)
+        # scalars too, one at a time
+        for value, expect in zip(dm, want):
+            assert same_bits(restrain(float(value), c, k_ef), expect)
+
+
+def test_restrain_takes_one_c_and_k_ef_per_row():
+    rng = np.random.default_rng(4)
+    dm = rng.standard_normal((3, 50)) * 2.0
+    dm[:, :3] = [[0.0], [-0.0], [np.nan]]
+    ells, gains = (0.05, 0.5, 0.3), (0.2, 0.9, 2.05)
+    q = np.array([[std_normal_quantile(e)] for e in ells])
+    got = restrain(dm, 1.5 * q, np.array([[k] for k in gains]))
+    for row, ell, k_ef in zip(range(3), ells, gains):
+        assert same_bits(got[row], oned_loops.direct_displacement(
+            dm[row], 1.5, std_normal_quantile(ell), k_ef))
+
+
+@pytest.mark.parametrize("ell", ORACLE_ELLS)
+@pytest.mark.parametrize("n_agents, horizon", [(257, 60), (9000, 3)])
+def test_ensemble_matches_per_step_loop(ell, n_agents, horizon):
+    c = cfg(k_ef=0.7, ell=ell, sigma_m=1.3, d=0.4, sigma_init=20.0,
+            n_agents=n_agents, horizon=horizon, seed=17)
+    got, want = run_1d_ensemble(c), oned_loops.ensemble(c)
+    for name in ("mean_abs_dd", "sigma_a", "mean_abs_dv", "final_states"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("ell", (0.3, 0.5))
+@pytest.mark.parametrize("n_agents, horizon", [(1000, 5000), (40, 16_000)])
+def test_diverging_ensemble_matches_per_step_loop(ell, n_agents, horizon):
+    # C5's k_ef = 2.05 run; at 16000 steps the states overflow to inf and
+    # then nan, so the overflow path of both forms is compared too
+    c = OneDConfig(k_ef=2.05, ell=ell, sigma_m=1.0, sigma_init=100.0,
+                   n_agents=n_agents, horizon=horizon, seed=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = run_1d_ensemble(c), oned_loops.ensemble(c)
+    if horizon > 15_000:
+        assert np.isnan(got.final_states).any()
+    for name in ("mean_abs_dd", "sigma_a", "mean_abs_dv", "final_states"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("ell", ORACLE_ELLS)
+def test_two_agents_match_per_step_loop(ell):
+    c = cfg(k_ef=0.9, ell=ell, sigma_m=1.0, d=1.5, sigma_init=30.0,
+            n_agents=301, horizon=80, seed=19)
+    got, want = run_1d_two_agents(c), oned_loops.two_agents(c)
+    for name in ("delta_mean", "delta_abs_mean", "clamp_rate"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("ell", ORACLE_ELLS)
+def test_tradeoff_cells_match_per_step_loop(ell):
+    grid = dict(n_runs=31, horizon=45, sigma_m=0.8, f=20.0, sigma_init=50.0)
+    got = tradeoff_sweep((0.05, 0.45, 0.97), (ell,), seed=4, **grid)
+    assert list(got) == [(k, ell) for k in (0.05, 0.45, 0.97)]
+    for (k_ef, _), row in got.items():
+        want = oned_loops.tradeoff_cell(cfg(k_ef=k_ef, ell=ell), 4, **grid)
+        assert same_bits(row, want), (k_ef, ell)
+
+
+@pytest.mark.parametrize("ell", ORACLE_ELLS)
+@pytest.mark.parametrize("steps, burn", [(20_000, 3000), (9000, 17_000)])
+def test_coherence_time_matches_numpy_scalar_loop(ell, steps, burn):
+    c = cfg(k_ef=0.1, ell=ell, sigma_m=0.1, d=0.25, seed=23)
+    assert same_bits(estimate_coherence_time(c, steps=steps, burn=burn),
+                     oned_loops.coherence_time(c, steps, burn))
+
+
+def _histories():
+    """Columns that converge at once, late, never, or blow up."""
+    rng = np.random.default_rng(8)
+    m = 300
+    decay = 80.0 * 0.97 ** np.arange(m)[:, None] * rng.uniform(0.5, 2.0, 9)
+    grow = 1.02 ** np.arange(m)[:, None] * rng.uniform(1.0, 2.0, 3)
+    cols = np.hstack([rng.standard_normal((m, 7)), decay
+                      + rng.standard_normal((m, 9)), grow,
+                      np.zeros((m, 1)), np.full((m, 1), -0.0)])
+    wide = np.hstack([cols, cols])
+    return {"columns": cols, "column_slice": wide[:, 5:25],
+            "fortran": np.asfortranarray(cols), "one_run": decay[:, 0],
+            "list": list(rng.standard_normal(12))}
+
+
+@pytest.mark.parametrize("name", list(_histories()))
+def test_metrics_match_fresh_temporaries(name):
+    history = _histories()[name]
+    before = np.array(history, copy=True)
+    got = convergence_metrics_1d(history, 10.0)
+    want = oned_loops.convergence_metrics(history, 10.0)
+    assert list(got) == list(want)
+    for key in got:
+        assert type(got[key]) is type(want[key]), key
+        assert same_bits(got[key], want[key]), key
+    assert same_bits(history, before)  # the input is left as it was
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 50),
+       st.integers(1, 3))
+def test_normal_block_equals_successive_draws(seed, steps, n, width):
+    # (T, n) as an ensemble draws it, (T, 2, n) as the two-agent run does
+    shape = (n,) if width == 1 else (width, n)
+    block = np.random.default_rng(seed).standard_normal((steps,) + shape)
+    rng = np.random.default_rng(seed)
+    draws = np.array([rng.standard_normal(shape) for _ in range(steps)])
+    assert same_bits(block, draws)
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 1000), st.integers(5, 30), st.integers(9, 40),
+       st.sampled_from([(0.5, 0.1), (0.3, 0.5, 0.05), (0.5,), (0.2,)]),
+       st.sampled_from([1, 7, 1 << 13]))
+def test_tradeoff_rows_do_not_depend_on_batch_or_chunk(seed, n_runs, horizon,
+                                                       ells, chunk):
+    k_grid = (0.05, 0.3, 0.97)
+    args = (k_grid, ells)
+    kw = dict(n_runs=n_runs, horizon=horizon, seed=seed)
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oned, "_CHUNK_FLOATS", chunk)
+        for bound in (1, (horizon + 1) * n_runs * 2, 1 << 30):
+            mp.setattr(oned, "_BATCH_FLOATS", bound)
+            rows.append(tradeoff_sweep(*args, **kw))
+    assert list(rows[0]) == [(k, e) for e in ells for k in k_grid]
+    for other in rows[1:]:
+        assert list(other) == list(rows[0])
+        assert all(same_bits(other[key], rows[0][key]) for key in other)
