@@ -37,7 +37,6 @@ from .core import rotate_z, std_normal_quantile, wrap_angle
 # Floor used wherever a covariance eigenvalue must stay positive (m^2 scale
 # 1e-8), far below any realistic sensor noise and far above double rounding.
 DELTA = 1e-4
-_DELTA2_I = DELTA ** 2 * np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,10 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     terms. Otherwise they are the restrained terms at quantile q =
     Phi^-1(ell), which need the position covariances cov_p (..., E, 3, 3)
     and heading variances var_psi (scalar or (..., E)) of the measurements.
+
+    The restrained terms invert each covariance in closed form from the
+    upper triangle of cov_p (``_inv_quad``, within 1e-12 relative of a
+    solve); a singular one, or entries past about 1e100, raise LinAlgError.
     """
     dpsi = wrap_angle(psi_m - psi_d)
     p_dr = rotate_z(p_d, dpsi)
@@ -87,39 +90,39 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
 
     # Rotated-desired anchor: a Gaussian surrogate of the desired position
     # rotated by the noisy heading error. Its mean pulls the horizontal part
-    # inward by cos(sigma_psi); its covariance has radial, tangential and
-    # vertical eigenvalues r^2 [(1 - cos s)^2, sin^2 s, DELTA^2], s clipped
-    # to pi/2, and falls back to DELTA^2 I on the vertical axis. At q = 0
-    # the surrogate is off and the term keeps its raw anchor.
+    # inward by cos(sigma_psi); its covariance cov_t has radial, tangential
+    # and vertical eigenvalues r^2 [(1 - cos s)^2, sin^2 s, DELTA^2], s
+    # clipped to pi/2, and falls back to DELTA^2 I on the vertical axis. At
+    # q = 0 the surrogate is off and the term keeps its raw anchor.
     p_hat = p_dr.copy()
     p_hat[..., :2] *= np.where(q != 0.0, np.cos(sigma_psi), 1.0)[..., None]
     sig_c = np.minimum(sigma_psi, 0.5 * math.pi)
     rr = np.hypot(p_dr[..., 0], p_dr[..., 1])
     ok = rr > 0.0
-    rad = np.zeros(p_dr.shape)
-    rad[..., :2] = p_dr[..., :2] / np.where(ok, rr, 1.0)[..., None]
-    tan = np.zeros(p_dr.shape)
-    tan[..., 0], tan[..., 1] = -rad[..., 1], rad[..., 0]
+    rad = p_dr[..., :2] / np.where(ok, rr, 1.0)[..., None]
     lam_r = rr ** 2 * (1.0 - np.cos(sig_c)) ** 2
     lam_t = rr ** 2 * np.sin(sig_c) ** 2
-    cov_t = (lam_r[..., None, None] * (rad[..., None] * rad[..., None, :])
-             + lam_t[..., None, None] * (tan[..., None] * tan[..., None, :]))
-    cov_t[..., 2, 2] += rr ** 2 * DELTA ** 2
-    cov_t = np.where(ok[..., None, None], cov_t, _DELTA2_I)
+    floor = np.where(ok, 0.0, DELTA ** 2)  # cov_t: t_h = (t00, t11), t01, t22
+    rad2, rxy = rad * rad, rad[..., 0] * rad[..., 1]
+    t_h = (lam_r[..., None] * rad2 + lam_t[..., None] * rad2[..., ::-1]
+           + floor[..., None])
+    t01 = lam_r * rxy - lam_t * rxy
 
     # Position terms: the setpoint backs off from the measurement along the
     # raw error a by sigma q, sigma the standard deviation of a reduced
     # along itself, so y = a (1 + q / m) with m the Mahalanobis norm of a.
-    # The clamp passes y iff m > -q. Both norms come from one stacked solve,
-    # on errors scaled to unit max-norm so that tiny ones cannot underflow
-    # to m = 0 (at q = 0 every nonzero error must pass).
+    # The clamp passes y iff m > -q. Both norms come from one closed-form
+    # pass over the covariances [cov_p, cov_p + cov_t], on errors scaled to
+    # unit max-norm so that tiny ones cannot underflow to m = 0 (at q = 0
+    # every nonzero error must pass).
     a = np.array([p_m - p_d, p_m - p_hat])
     scale = np.abs(a).max(axis=-1)
     unit = a / np.where(scale > 0.0, scale, 1.0)[..., None]
-    cov = np.array([cov_p, cov_p + cov_t])
-    sol = np.linalg.solve(cov, unit[..., None])[..., 0]
-    m = scale * np.sqrt(np.maximum(np.einsum("...i,...i->...", unit, sol),
-                                   0.0))
+    pair = lambda i, j, t: np.array([cov_p[..., i, j], cov_p[..., i, j] + t])
+    m = scale * np.sqrt(np.maximum(_inv_quad(
+        unit, pair(0, 0, t_h[..., 0]), pair(0, 1, t01), cov_p[..., 0, 2],
+        pair(1, 1, t_h[..., 1]), cov_p[..., 1, 2],
+        pair(2, 2, rr ** 2 * DELTA ** 2 + floor)), 0.0))
     fac = np.where(m > -q, 1.0 + q / np.where(m > 0.0, m, 1.0), 0.0)
     pos = a[0] * fac[0][..., None] + a[1] * fac[1][..., None]
 
@@ -130,10 +133,11 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     # does a zero raw term, which covers degenerate horizontal projections.
     r_m = np.hypot(p_m[..., 0], p_m[..., 1])
     okm = r_m > 0.0
-    r_safe = np.where(okm, r_m, 1.0)
-    t_hat = np.zeros(p_m.shape)
-    t_hat[..., 0], t_hat[..., 1] = -p_m[..., 1] / r_safe, p_m[..., 0] / r_safe
-    var_tan = np.einsum("...i,...ij,...j->...", t_hat, cov_p, t_hat)
+    # The horizontal tangent is (-hy, hx), h the unit horizontal direction.
+    h = p_m[..., :2] / np.where(okm, r_m, 1.0)[..., None]
+    hx, hy = h[..., 0], h[..., 1]
+    var_tan = (hy * (hy * cov_p[..., 0, 0] - 2.0 * hx * cov_p[..., 0, 1])
+               + hx * hx * cov_p[..., 1, 1])
     # hypot cannot underflow to zero where r_m > 0, so theta stays finite.
     dist = np.where(okm, np.hypot(r_m, p_m[..., 2]), 1.0)
     turn = np.sqrt(np.maximum(var_tan, 0.0)) * -q / dist
@@ -146,6 +150,25 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     # Heading-consensus term; sign(0) = 0 keeps a dead-center error at zero.
     y4 = wrap_angle(dpsi + sigma_psi * np.sign(dpsi) * q)
     return pos, _clamp(y3, raw_bearing) + 2.0 * _clamp(y4, dpsi)
+
+
+def _inv_quad(u, a00, a01, a02, a11, a12, a22):
+    """u^T A^-1 u for u (..., 3) and symmetric 3x3 A given by its upper
+    triangle (entries broadcast to u's leading axes): six cofactors over the
+    determinant, one value per matrix. LinAlgError unless det is finite > 0."""
+    c00 = a11 * a22 - a12 * a12
+    c01 = a12 * a02 - a01 * a22
+    c02 = a01 * a12 - a11 * a02
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    if det.size and not 0.0 < det.min() <= det.max() < np.inf:
+        raise np.linalg.LinAlgError(
+            "position covariance is singular or not finite")
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    w = 2.0 * u  # off-diagonal cofactors enter the form twice
+    return (u0 * (c00 * u0 + c01 * w[..., 1] + c02 * w[..., 2])
+            + u1 * ((a00 * a22 - a02 * a02) * u1
+                    + (a01 * a02 - a00 * a12) * w[..., 2])
+            + u2 * u2 * (a00 * a11 - a01 * a01)) / det
 
 
 def _clamp(y, a):

@@ -251,6 +251,7 @@ def _records(scenario: Scenario, cells):
     # An overflowing start fails on e_F before its first measurement does.
     _error_series(positions0[None], headings0[None], cache)
     n, steps = scenario.graph.n, scenario.horizon_steps
+    threshold = 0.5 * scenario.min_desired_distance()
     fiedler = np.full(steps + 1, fiedler_value(scenario.graph)
                       if n >= 2 else 0.0)
     # Batches hold at most 2^21 history floats (16 MiB), 8 per agent-state.
@@ -280,7 +281,7 @@ def _records(scenario: Scenario, cells):
             history = [a[:, b].copy() for a in (positions, headings, u, omega)]
             series = _error_series(*history[:2], cache)
             yield c, RunRecord(*history, *series[:3], fiedler, _summarize(
-                *series[3:], *history[2:], specs[b].rate_hz, scenario))
+                *series[3:], *history[2:], specs[b].rate_hz, threshold))
         del positions, headings, u, omega
 
 
@@ -297,14 +298,13 @@ def run(scenario: Scenario) -> RunRecord:
                                      scenario.controller)]))[1]
 
 
-def _summarize(disp_p, disp_psi, u_all, omega_all, f_hz, scenario):
+def _summarize(disp_p, disp_psi, u_all, omega_all, f_hz, threshold):
     if disp_p.size < 10:
         return {}
     mp = convergence_metrics_1d(disp_p, f_hz)
     mpsi = convergence_metrics_1d(disp_psi, f_hz)
     tail = max(mp["k_c"], disp_p.size // 2)
     stable_rms_p = float(np.sqrt(np.mean(disp_p[tail:] ** 2)))
-    threshold = 0.5 * scenario.min_desired_distance()
     # At least 9 commands per agent here, so no difference below is empty.
     du = np.linalg.norm(np.diff(u_all, axis=0), axis=2)
     dom = np.abs(np.diff(omega_all, axis=0))

@@ -326,6 +326,22 @@ def test_numerical_overflow_exits_1_and_names_step(tmp_path, capsys,
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_overflowing_position_covariance_exits_1_and_names_it(tmp_path,
+                                                             capsys):
+    # 1e60 m apart the covariance entries are finite (1e118) but their
+    # determinant is not: a numerical failure, named, not a silent m = 0
+    scen_file = tmp_path / "scen.json"
+    scen_file.write_text(json.dumps(dict(
+        MINIMAL, horizon_steps=5, controller={"ell": 0.2},
+        agents=[{"p": [0.0, 0.0, 0.0]}, {"p": [1e60, 0.0, 0.0]}])))
+    rc = main(["sim4d", "--scenario", str(scen_file), "--out",
+               str(tmp_path / "run.csv")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LinAlgError"
+    assert "position covariance" in err["message"]
+
+
 def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
     def singular(scenario):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -417,3 +417,12 @@ def test_controller_config_validation():
         ControllerConfig(ell=0.0)
     with pytest.raises(ValueError):
         ControllerConfig(k_e=0.0)
+
+
+def test_singular_position_covariance_raises_linalg_error():
+    # the closed-form inverse divides by det; a singular covariance must
+    # fail loudly, as a solve did, not divide by zero
+    pairs = [(_meas([3.0, 1.0, 0.5], cov=np.diag([1.0, 1.0, 0.0])),
+              _des([2.0, 0.0, 0.0]))]
+    with pytest.raises(np.linalg.LinAlgError, match="position covariance"):
+        _restrained(pairs, ControllerConfig(ell=0.2))

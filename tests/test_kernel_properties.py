@@ -7,15 +7,16 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rigidflock.control import (ControllerConfig, _clamp, agent_commands,
-                                edge_terms)
+from rigidflock.control import (ControllerConfig, _clamp, _inv_quad,
+                                agent_commands, edge_terms)
 from rigidflock.core import (SKEW_Z, AgentPose, relative_poses, rotate_z,
                             rotz, std_normal_quantile, wrap_angle)
 from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
                                is_connected)
 from rigidflock.rigidity import (is_positive_definite_minors, m_matrix,
                                  rigidity_local, rigidity_world)
-from rigidflock.sensors import measurement_stream
+from rigidflock.sensors import (SensorSpec, covariance_sigmas,
+                                measurement_stream, position_covariance)
 from rigidflock.sim import (Scenario, _EdgeCache, _error_series, _records,
                             init_state, run)
 from det_minors import det_minors
@@ -75,6 +76,48 @@ def test_position_terms_shrink_with_ell_unless_errors_oppose(batch, l1, l2):
         if a1 @ a2 >= 0.0:
             assert np.linalg.norm(pos1[e]) \
                 <= np.linalg.norm(pos2[e]) * (1.0 + 1e-12) + 1e-300
+
+
+# The closed form must agree with a solve to the drift bound set for it,
+# 1e-12 relative. Both forms carry errors of a few kappa(A) eps: the SPD
+# draws have eigenvalues in [0.05, 10] (kappa <= 200) and the sensor's own
+# covariance kappa <= (0.1 / 0.03)^2, so there the bound has a margin of 20
+# or more. cov_p + cov_t is far worse conditioned where the anchor is long
+# and the range short (a tiny vertical eigenvalue) and is held to the same
+# bound.
+INV_QUAD_RTOL = 1e-12
+
+
+def _assert_inv_quad_matches_solve(cov, u):
+    want = u @ np.linalg.solve(cov, u)
+    got = _inv_quad(u, *cov[np.triu_indices(3)])
+    assert abs(got - want) <= INV_QUAD_RTOL * want
+
+
+unit_vector = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(
+    np.array).filter(lambda u: np.abs(u).max() > 1e-3)
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+       st.floats(0.05, 1.0), unit_vector)
+def test_inv_quad_matches_solve_on_spd_matrices(entries, shift, u):
+    b = np.array(entries).reshape(3, 3)
+    _assert_inv_quad_matches_solve(b @ b.T + shift * np.eye(3), u)
+
+
+@given(st.floats(-6.0, 4.0), unit_vector, unit_vector, edge())
+def test_inv_quad_matches_solve_on_sensor_covariances(log_range, direction,
+                                                      u, case):
+    # ranges 1e-6 .. 1e4 m; below about 3e-3 m the DELTA floors set both
+    # sigmas. The anchor covariance cov_t of a drawn edge is added as the
+    # kernel adds it for the second position term.
+    dist = 10.0 ** log_range
+    r_hat = direction / np.linalg.norm(direction)
+    cov_p = position_covariance(r_hat, *covariance_sigmas(dist, SensorSpec()))
+    _assert_inv_quad_matches_solve(cov_p, u)
+    meas, des = case
+    cov_t = approx_rotated_desired(meas._replace(cov_p=cov_p), des)[1]
+    _assert_inv_quad_matches_solve(cov_p + cov_t, u)
 
 
 def _both_laws(batch, cfg, dt=1.0):
