@@ -4,9 +4,9 @@ The law is one array kernel, ``edge_terms``, that evaluates the per-edge
 terms of E observed edges at once, and ``agent_commands``, which sums them
 per observer and applies the gain and the heading-rate cap. Edges are
 given as (E, 3) measured and desired relative positions, (E,) relative
-headings and, for the restrained law, the measurements' (E, 3, 3) position
-covariances and heading variances; ``obs_i`` (E,) names each edge's
-observer.
+headings and, for the restrained law, the measurements' position
+covariances, as six upper-triangle entries, and heading variances;
+``obs_i`` (E,) names each edge's observer.
 
 * Proportional terms: plain gradient-descent action on the formation
   error, four terms per observed neighbor (two positional, one
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rotate_z, std_normal_quantile, wrap_angle
+from .core import planes, std_normal_quantile, turn, vectors, wrap_angle
 
 # Floor used wherever a covariance eigenvalue must stay positive (m^2 scale
 # 1e-8), far below any realistic sensor noise and far above double rounding.
@@ -65,7 +65,18 @@ class ControllerConfig:
         return std_normal_quantile(self.ell)
 
 
-def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
+def law_constants(p_d, var_psi):
+    """The restrained law's per-run constants: desired bearings arctan2(p_d),
+    sigma_psi = sqrt(var_psi), cos sigma_psi, and (1 - cos s)^2, sin^2 s at
+    s = min(sigma_psi, pi/2)."""
+    sigma_psi = np.sqrt(var_psi)
+    sig_c = np.minimum(sigma_psi, 0.5 * math.pi)
+    return (np.arctan2(p_d[..., 1], p_d[..., 0]), sigma_psi,
+            np.cos(sigma_psi), (1.0 - np.cos(sig_c)) ** 2, np.sin(sig_c) ** 2)
+
+
+def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None,
+               const=None):
     """Per-edge control terms of E edges, before the gain and the cap.
 
     p_m, p_d are (..., E, 3) measured and desired relative positions and
@@ -73,20 +84,32 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     cell) broadcast, and so does q. Returns (position terms (..., E, 3),
     heading terms (..., E)). With ``q`` None these are the proportional
     terms. Otherwise they are the restrained terms at quantile q =
-    Phi^-1(ell), which need the position covariances cov_p (..., E, 3, 3)
-    and heading variances var_psi (scalar or (..., E)) of the measurements.
+    Phi^-1(ell), which need the position covariances cov_p, as the six
+    entries of ``sensors.position_covariance``, and heading variances
+    var_psi (scalar or (..., E)) of the measurements, or in its place
+    ``const = law_constants(p_d, var_psi)``, computed once per run.
 
-    The restrained terms invert each covariance in closed form from the
-    upper triangle of cov_p (``_inv_quad``, within 1e-12 relative of a
-    solve); a singular one, or entries past about 1e100, raise LinAlgError.
+    The work is on x, y, z planes (``core.planes``), and temporaries go once
+    spent: past the C heap's trim threshold, a batch step would fault in
+    its temporaries afresh every time. Each covariance inverts in closed
+    form (``_inv_quad``, within 1e-12 relative of a solve); a singular one,
+    or entries past about 1e100, raise LinAlgError.
     """
+    m = planes(p_m, p_d.ndim)
+    d = planes(p_d, m.ndim)
     dpsi = wrap_angle(psi_m - psi_d)
-    p_dr = rotate_z(p_d, dpsi)
-    raw_bearing = p_d[..., 0] * p_m[..., 1] - p_d[..., 1] * p_m[..., 0]
+    p_dr = turn(d, dpsi)
+    raw_bearing = d[0] * m[1] - d[1] * m[0]
     if q is None:
-        return (p_m - p_d) + (p_m - p_dr), raw_bearing + 2.0 * dpsi
+        return vectors((m - d) + (m - p_dr)), raw_bearing + 2.0 * dpsi
 
-    sigma_psi = np.sqrt(var_psi)
+    zeta_d, sigma_psi, cos_psi, k_r, k_t = const or law_constants(p_d,
+                                                                  var_psi)
+    c00, c01, c02, c11, c12, c22 = cov_p
+    # Heading-consensus term; sign(0) = 0 keeps a dead-center error at zero.
+    y4 = wrap_angle(dpsi + sigma_psi * np.sign(dpsi) * q)
+    ang = _clamp(_bearing(m, d, zeta_d, c00, c01, c11, q), raw_bearing) \
+        + 2.0 * _clamp(y4, dpsi)
 
     # Rotated-desired anchor: a Gaussian surrogate of the desired position
     # rotated by the noisy heading error. Its mean pulls the horizontal part
@@ -94,19 +117,23 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     # and vertical eigenvalues r^2 [(1 - cos s)^2, sin^2 s, DELTA^2], s
     # clipped to pi/2, and falls back to DELTA^2 I on the vertical axis. At
     # q = 0 the surrogate is off and the term keeps its raw anchor.
-    p_hat = p_dr.copy()
-    p_hat[..., :2] *= np.where(q != 0.0, np.cos(sigma_psi), 1.0)[..., None]
-    sig_c = np.minimum(sigma_psi, 0.5 * math.pi)
-    rr = np.hypot(p_dr[..., 0], p_dr[..., 1])
+    rr = np.hypot(p_dr[0], p_dr[1])
     ok = rr > 0.0
-    rad = p_dr[..., :2] / np.where(ok, rr, 1.0)[..., None]
-    lam_r = rr ** 2 * (1.0 - np.cos(sig_c)) ** 2
-    lam_t = rr ** 2 * np.sin(sig_c) ** 2
-    floor = np.where(ok, 0.0, DELTA ** 2)  # cov_t: t_h = (t00, t11), t01, t22
-    rad2, rxy = rad * rad, rad[..., 0] * rad[..., 1]
-    t_h = (lam_r[..., None] * rad2 + lam_t[..., None] * rad2[..., ::-1]
-           + floor[..., None])
-    t01 = lam_r * rxy - lam_t * rxy
+    rad = p_dr[:2] / np.where(ok, rr, 1.0)
+    rr = rr ** 2
+    lam_r, lam_t, floor = rr * k_r, rr * k_t, np.where(ok, 0.0, DELTA ** 2)
+    rad2, rxy = rad * rad, rad[0] * rad[1]
+    # Entries 00, 01, 11, 22 of [cov_p, cov_p + cov_t]; 02 and 12 are shared.
+    pair = np.empty((4, 2) + rr.shape)
+    for k, (cov, t) in enumerate((
+            (c00, lam_r * rad2[0] + lam_t * rad2[1] + floor),
+            (c01, lam_r * rxy - lam_t * rxy),
+            (c11, lam_r * rad2[1] + lam_t * rad2[0] + floor),
+            (c22, rr * DELTA ** 2 + floor))):
+        pair[k, 0] = cov
+        np.add(cov, t, out=pair[k, 1])
+    del rr, ok, rad, lam_r, lam_t, floor, rad2, rxy, t
+    p_dr[:2] *= np.where(q != 0.0, cos_psi, 1.0)
 
     # Position terms: the setpoint backs off from the measurement along the
     # raw error a by sigma q, sigma the standard deviation of a reduced
@@ -115,46 +142,47 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None):
     # pass over the covariances [cov_p, cov_p + cov_t], on errors scaled to
     # unit max-norm so that tiny ones cannot underflow to m = 0 (at q = 0
     # every nonzero error must pass).
-    a = np.array([p_m - p_d, p_m - p_hat])
-    scale = np.abs(a).max(axis=-1)
-    unit = a / np.where(scale > 0.0, scale, 1.0)[..., None]
-    pair = lambda i, j, t: np.array([cov_p[..., i, j], cov_p[..., i, j] + t])
-    m = scale * np.sqrt(np.maximum(_inv_quad(
-        unit, pair(0, 0, t_h[..., 0]), pair(0, 1, t01), cov_p[..., 0, 2],
-        pair(1, 1, t_h[..., 1]), cov_p[..., 1, 2],
-        pair(2, 2, rr ** 2 * DELTA ** 2 + floor)), 0.0))
-    fac = np.where(m > -q, 1.0 + q / np.where(m > 0.0, m, 1.0), 0.0)
-    pos = a[0] * fac[0][..., None] + a[1] * fac[1][..., None]
+    a = np.empty((3, 2) + np.broadcast(m, p_dr).shape[1:])
+    np.subtract(m, d, out=a[:, 0])
+    np.subtract(m, p_dr, out=a[:, 1])
+    unit = np.abs(a)
+    scale = np.maximum(np.maximum(unit[0], unit[1]), unit[2])
+    np.divide(a, np.where(scale > 0.0, scale, 1.0), out=unit)
+    m_a = scale * np.sqrt(np.maximum(_inv_quad(
+        unit, pair[0], pair[1], c02, pair[2], c12, pair[3]), 0.0))
+    del pair, unit
+    # q <= 0, so a passing m_a is > 0; the others divide by 1, not by a
+    # norm small enough to overflow the quotient.
+    passes = m_a > -q
+    a *= np.where(passes, 1.0 + q / np.where(passes, m_a, 1.0), 0.0)
+    return vectors(a[:, 0] + a[:, 1]), ang
 
-    # Bearing term: rotate the measurement horizontally toward the desired
-    # bearing by sigma_beta |q|, sigma_beta the tangential standard
-    # deviation over the range, then clamp against the raw term. A rotation
-    # past the desired bearing flips the sign and the clamp zeroes it; so
-    # does a zero raw term, which covers degenerate horizontal projections.
-    r_m = np.hypot(p_m[..., 0], p_m[..., 1])
+
+def _bearing(m, d, zeta_d, c00, c01, c11, q):
+    """Bearing term: rotate the measurement horizontally toward the desired
+    bearing by sigma_beta |q|, sigma_beta the tangential standard deviation
+    over the range, for the caller to clamp against the raw term. A rotation
+    past the desired bearing flips the sign and the clamp zeroes it; so does
+    a zero raw term, which covers degenerate horizontal projections."""
+    r_m = np.hypot(m[0], m[1])
     okm = r_m > 0.0
     # The horizontal tangent is (-hy, hx), h the unit horizontal direction.
-    h = p_m[..., :2] / np.where(okm, r_m, 1.0)[..., None]
-    hx, hy = h[..., 0], h[..., 1]
-    var_tan = (hy * (hy * cov_p[..., 0, 0] - 2.0 * hx * cov_p[..., 0, 1])
-               + hx * hx * cov_p[..., 1, 1])
-    # hypot cannot underflow to zero where r_m > 0, so theta stays finite.
-    dist = np.where(okm, np.hypot(r_m, p_m[..., 2]), 1.0)
-    turn = np.sqrt(np.maximum(var_tan, 0.0)) * -q / dist
-    zeta_d = np.arctan2(p_d[..., 1], p_d[..., 0])
-    zeta_m = np.arctan2(p_m[..., 1], p_m[..., 0])
-    theta = np.sign(wrap_angle(zeta_d - zeta_m)) * turn
-    p_turn = rotate_z(p_m, theta)
-    y3 = p_d[..., 0] * p_turn[..., 1] - p_d[..., 1] * p_turn[..., 0]
-
-    # Heading-consensus term; sign(0) = 0 keeps a dead-center error at zero.
-    y4 = wrap_angle(dpsi + sigma_psi * np.sign(dpsi) * q)
-    return pos, _clamp(y3, raw_bearing) + 2.0 * _clamp(y4, dpsi)
+    hx, hy = m[:2] / np.where(okm, r_m, 1.0)
+    var_tan = hy * (hy * c00 - 2.0 * hx * c01) + hx * hx * c11
+    # hypot cannot underflow to zero where r_m > 0, but a subnormal range
+    # overflows the turn to inf: its cosine is nan, and the clamp zeroes
+    # the term as it does a turn past the desired bearing.
+    dist = np.where(okm, np.hypot(r_m, m[2]), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        turn_by = np.sqrt(np.maximum(var_tan, 0.0)) * -q / dist
+        theta = np.sign(wrap_angle(zeta_d - np.arctan2(m[1], m[0]))) * turn_by
+        p_turn = turn(m, theta)
+        return d[0] * p_turn[1] - d[1] * p_turn[0]
 
 
 def _inv_quad(u, a00, a01, a02, a11, a12, a22):
-    """u^T A^-1 u for u (..., 3) and symmetric 3x3 A given by its upper
-    triangle (entries broadcast to u's leading axes): six cofactors over the
+    """u^T A^-1 u for u as planes (3, ...) and symmetric 3x3 A given by its
+    upper triangle (entries broadcast to the planes): six cofactors over the
     determinant, one value per matrix. LinAlgError unless det is finite > 0."""
     c00 = a11 * a22 - a12 * a12
     c01 = a12 * a02 - a01 * a22
@@ -163,12 +191,15 @@ def _inv_quad(u, a00, a01, a02, a11, a12, a22):
     if det.size and not 0.0 < det.min() <= det.max() < np.inf:
         raise np.linalg.LinAlgError(
             "position covariance is singular or not finite")
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    w = 2.0 * u  # off-diagonal cofactors enter the form twice
-    return (u0 * (c00 * u0 + c01 * w[..., 1] + c02 * w[..., 2])
-            + u1 * ((a00 * a22 - a02 * a02) * u1
-                    + (a01 * a02 - a00 * a12) * w[..., 2])
-            + u2 * u2 * (a00 * a11 - a01 * a01)) / det
+    u0, u1, u2 = u[0], u[1], u[2]
+    # Off-diagonal cofactors enter the form twice; the sum builds in place.
+    form = u0 * (c00 * u0 + c01 * (2.0 * u1) + c02 * (2.0 * u2))
+    del c00, c01, c02
+    form += u1 * ((a00 * a22 - a02 * a02) * u1
+                  + (a01 * a02 - a00 * a12) * (2.0 * u2))
+    form += u2 * u2 * (a00 * a11 - a01 * a01)
+    form /= det
+    return form
 
 
 def _clamp(y, a):
@@ -183,12 +214,13 @@ def _clamp(y, a):
 
 def agent_commands(obs_i, pos_terms, ang_terms, n: int,
                    cfg: ControllerConfig, dt: float):
-    """u (n, 3), omega (n,): the edge terms summed per observer obs_i (E,)
-    in edge order, scaled by k_e, the heading rate capped at omega_cap / dt.
+    """u (n, 3), omega (n,): the edge terms (..., E, 3), (..., E) summed per
+    observer obs_i (..., E) in edge order, scaled by k_e, the heading rate
+    capped at omega_cap / dt.
     """
     u = np.zeros((n, 3))
     omega = np.zeros(n)
     np.add.at(u, obs_i, pos_terms)
     np.add.at(omega, obs_i, ang_terms)
     cap = cfg.omega_cap / dt
-    return cfg.k_e * u, np.clip(cfg.k_e * omega, -cap, cap)
+    return cfg.k_e * u, np.minimum(np.maximum(cfg.k_e * omega, -cap), cap)

@@ -8,6 +8,7 @@ pure and stateless.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -53,6 +54,36 @@ def rotate_z(v, psi):
     out[..., 0], out[..., 1] = x, s * v[..., 0] + c * v[..., 1]
     out[..., 2] = v[..., 2]
     return out
+
+
+def turn(c, psi):
+    """rotate_z on x, y, z planes c (3, ...), as planes."""
+    cos, sin = np.cos(psi), np.sin(psi)
+    x = cos * c[0] - sin * c[1]
+    out = np.empty((3,) + x.shape)
+    out[0], out[1], out[2] = x, sin * c[0] + cos * c[1], c[2]
+    return out
+
+
+def planes(v, ndim: int = 0):
+    """The x, y, z planes (3, ..., E) of vectors (..., E, 3), each contiguous:
+    a view of what vectors() returns, else a copy. Unit axes after the first
+    pad them to ndim axes, so shared vectors broadcast against a batch's."""
+    v = np.asarray(v, dtype=float)
+    c = np.ascontiguousarray(v.transpose(_axes(v.ndim)[0]))
+    pad = (1,) * (ndim - c.ndim)
+    return c.reshape(c.shape[:1] + pad + c.shape[1:]) if pad else c
+
+
+def vectors(c):
+    """The vectors (..., E, 3) of planes c (3, ..., E), as a view."""
+    return c.transpose(_axes(c.ndim)[1])
+
+
+@functools.cache
+def _axes(n: int):
+    """Axis orders of planes() and vectors() for n axes."""
+    return (n - 1, *range(n - 1)), (*range(1, n), 0)
 
 
 def rotz(psi: float) -> np.ndarray:

@@ -390,9 +390,12 @@ def convergence_metrics_1d(history, f: float) -> dict:
     mean_dv averages |v[k] - v[k-1]| over consecutive velocity segments.
 
     Returns t_c = k_c / f, sigma_t, mean_dv, k_c, converged and k_c_literal
-    by name. A (M, R) history holds R runs in its columns; every metric is
-    then an array over the runs. A history that never enters the band gets
-    k_c equal to the last index and converged=False.
+    by name. A (M, R) history holds R runs in its columns, and f may then
+    be one rate per column; every metric is an array over the runs. A
+    column's t_c, sigma_t, k_c, converged and k_c_literal equal those of a
+    lone call on it bit for bit, its mean_dv does not: the column mean sums
+    in another order. A history that never enters the band gets k_c equal
+    to the last index and converged=False.
     """
     x = np.asarray(history, dtype=float)
     if x.ndim != 2:

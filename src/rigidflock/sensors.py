@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import DELTA
+from .core import planes, vectors
 
 
 @dataclass(frozen=True)
@@ -51,16 +52,15 @@ def covariance_sigmas(distance, spec: SensorSpec):
             np.maximum(spec.bearing_sigma * distance, DELTA))
 
 
-def position_covariance(r_hat, s_r, s_t) -> np.ndarray:
-    """C = s_t^2 (I - r r^T) + s_r^2 r r^T for radial unit vectors (..., 3).
-
-    The sigmas broadcast over the leading axes; returns (..., 3, 3).
-    """
-    r_hat = np.asarray(r_hat, dtype=float)
-    s_r = np.asarray(s_r, dtype=float)[..., None, None]
-    s_t = np.asarray(s_t, dtype=float)[..., None, None]
-    return s_t ** 2 * np.eye(3) + (s_r ** 2 - s_t ** 2) \
-        * (r_hat[..., :, None] * r_hat[..., None, :])
+def position_covariance(r_hat, s_r, s_t):
+    """C = s_t^2 (I - r r^T) + s_r^2 r r^T for radial unit vectors (..., 3)
+    as its upper-triangle entries (c00, c01, c02, c11, c12, c22), each (...);
+    the sigmas broadcast. Off the diagonal, + 0.0 makes a zero +0.0."""
+    x, y, z = planes(r_hat)
+    t = np.square(s_t)
+    d = np.square(s_r) - t
+    return (t + d * (x * x), d * (x * y) + 0.0, d * (x * z) + 0.0,
+            t + d * (y * y), d * (y * z) + 0.0, t + d * (z * z))
 
 
 def perturb(p_rel, psi_rel, z, spec: SensorSpec):
@@ -69,19 +69,23 @@ def perturb(p_rel, psi_rel, z, spec: SensorSpec):
     The position moves by A z[..., :3], A the symmetric square root of the
     covariance at the raw (unfloored) sigmas, so zero noise stays exact; the
     heading moves by heading_sigma z[..., 3] and is left unwrapped. Returns
-    (p_m, psi_m, distance, radial unit vector).
+    (p_m, psi_m, distance, radial unit vector); the vectors are views of
+    x, y, z planes (``core.vectors``).
     """
-    dist = np.linalg.norm(p_rel, axis=-1)
-    if np.any(dist == 0.0):
+    v = planes(p_rel, z.ndim)
+    sq = v * v
+    dist = np.sqrt((sq[0] + sq[1]) + sq[2])  # the sum order of norm
+    if not dist.all():
         raise ArithmeticError("two agents coincide; relative pose undefined")
-    r_hat = p_rel / dist[..., None]
+    r = v / dist
     s_r = spec.dist_frac_sigma * dist
     s_t = spec.bearing_sigma * dist
-    z_p = z[..., :3]
-    z_r = np.einsum("...i,...i->...", z_p, r_hat)
-    p_m = p_rel + s_t[..., None] * z_p \
-        + (s_r - s_t)[..., None] * z_r[..., None] * r_hat
-    return p_m, psi_rel + spec.heading_sigma * z[..., 3], dist, r_hat
+    z_p = planes(z[..., :3], r.ndim)
+    z_r = z_p * r
+    z_r = (z_r[0] + z_r[2]) + z_r[1]  # the sum order of einsum
+    p_m = (v + s_t * z_p) + (s_r - s_t) * z_r * r
+    return (vectors(p_m), psi_rel + spec.heading_sigma * z[..., 3], dist,
+            vectors(r))
 
 
 def measurement_stream(master_seed: int, agent_id: int) -> np.random.Generator:

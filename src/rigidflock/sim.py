@@ -9,11 +9,12 @@ One function, ``step``, advances a batch of cells that share a seed and
 differ in rate and ell (a run is a batch of one): it maps true poses to
 relative poses with ``core.relative_poses`` and evaluates the control law
 with ``control.edge_terms``, once over all edges of all cells. A property
-test checks the law against an independent scalar form. The error series
-(e_F, e_p, e_psi) is computed after the run, in one vectorized pass of the
-same relative-pose map over the recorded ground-truth history. A run's noise
-is drawn once, from one stream per (seed, agent), and one (scenario, seed)
-pair always reproduces the same run bit for bit.
+test checks the law against an independent scalar form. Each cell's error
+series (e_F, e_p, e_psi) is computed after the run, in one vectorized pass
+of the same relative-pose map over its recorded ground-truth history, and a
+batch's convergence metrics in one call per series, the cells as columns.
+A run's noise is drawn once, from one stream per (seed, agent), and one
+(scenario, seed) pair always reproduces the same run bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControllerConfig, agent_commands, edge_terms
+from .control import (ControllerConfig, agent_commands, edge_terms,
+                      law_constants)
 from .core import (AgentPose, pose_arrays, relative_poses, rotate_z,
                    wrap_angle)
 from .graphs import ObservationGraph, count_passive_sinks, fiedler_value, \
@@ -171,6 +173,16 @@ class _EdgeCache:
         # observers: one weight per edge does both means.
         deg = np.bincount(self.obs_i, minlength=graph.n)
         self.weights = 1.0 / (deg[self.obs_i] * np.count_nonzero(deg))
+        self._batches = {}
+
+    def batch(self, shape, var_psi):
+        """Per-run constants of a batch of agent periods of this shape: each
+        edge's observer row in the batch's agent table, and law_constants."""
+        key = shape, var_psi
+        if key not in self._batches:
+            rows = np.arange(math.prod(shape)).reshape(shape)[..., self.obs_i]
+            self._batches[key] = rows, law_constants(self.p_d, var_psi)
+        return self._batches[key]
 
 
 def step(positions, headings, z, dt, q, scenario: Scenario,
@@ -184,22 +196,19 @@ def step(positions, headings, z, dt, q, scenario: Scenario,
     Returns the next positions, headings and the commands u, omega.
     """
     spec = scenario.sensor
-    p_rel, psi_rel = relative_poses(positions, headings, cache.obs_i,
-                                    cache.obs_j)
-    p_m, psi_m, dist, r_hat = perturb(p_rel, psi_rel, z, spec)
+    rows, const = cache.batch(dt.shape, spec.heading_sigma ** 2)
+    p_m, psi_m, dist, r_hat = perturb(*relative_poses(
+        positions, headings, cache.obs_i, cache.obs_j), z, spec)
     _require_finite(k + 1, "measurements", p_m)
     psi_m = wrap_angle(psi_m)
     # The restrained law sees floored covariances, never degenerate ones.
     cov_p = None if q is None else position_covariance(
         r_hat, *covariance_sigmas(dist, spec))
+    del dist, r_hat  # spent: see edge_terms on a batch's temporaries
     pos_terms, ang_terms = edge_terms(p_m, psi_m, cache.p_d, cache.psi_d, q,
-                                      cov_p, spec.heading_sigma ** 2)
-    # Each edge's observer as a row of one table of all cells' agents.
-    rows = cache.obs_i if dt.ndim == 1 else (
-        np.arange(dt.size).reshape(dt.shape)[..., cache.obs_i].ravel())
-    u, omega = agent_commands(
-        rows, pos_terms.reshape(-1, 3), ang_terms.ravel(), dt.size,
-        scenario.controller, dt.ravel())
+                                      cov_p, const=const)
+    u, omega = agent_commands(rows, pos_terms, ang_terms, dt.size,
+                              scenario.controller, dt.ravel())
     u, omega = u.reshape(positions.shape), omega.reshape(dt.shape)
 
     positions = positions + rotate_z(u, headings) * dt[..., None]
@@ -276,12 +285,18 @@ def _records(scenario: Scenario, cells):
                 positions[k].reshape(dt.shape + (3,)),
                 headings[k].reshape(dt.shape), noise[k], dt, q, scenario,
                 cache, k)
+        # Each cell's error series, then one metrics call per series.
+        series = [_error_series(positions[:, b], headings[:, b], cache)
+                  for b in range(len(batch))]
+        metrics = None if steps < 9 else [convergence_metrics_1d(
+            np.column_stack([s[i] for s in series]),
+            np.array([spec.rate_hz for spec in specs])) for i in (3, 4)]
         # Copies, so no record keeps this batch alive into the next one.
         for b, c in enumerate(batch):
             history = [a[:, b].copy() for a in (positions, headings, u, omega)]
-            series = _error_series(*history[:2], cache)
-            yield c, RunRecord(*history, *series[:3], fiedler, _summarize(
-                *series[3:], *history[2:], specs[b].rate_hz, threshold))
+            yield c, RunRecord(*history, *series[b][:3], fiedler, _summarize(
+                b, metrics, series[b][3], *history[2:], specs[b].rate_hz,
+                threshold))
         del positions, headings, u, omega
 
 
@@ -298,11 +313,13 @@ def run(scenario: Scenario) -> RunRecord:
                                      scenario.controller)]))[1]
 
 
-def _summarize(disp_p, disp_psi, u_all, omega_all, f_hz, threshold):
-    if disp_p.size < 10:
+def _summarize(b, metrics, disp_p, u_all, omega_all, f_hz, threshold):
+    """Summary of cell b of a batch; metrics are its convergence metrics of
+    the position and heading series, cells as columns (None: < 10 states)."""
+    if metrics is None:
         return {}
-    mp = convergence_metrics_1d(disp_p, f_hz)
-    mpsi = convergence_metrics_1d(disp_psi, f_hz)
+    mp, mpsi = ({key: val[b].item() for key, val in m.items()}
+                for m in metrics)
     tail = max(mp["k_c"], disp_p.size // 2)
     stable_rms_p = float(np.sqrt(np.mean(disp_p[tail:] ** 2)))
     # At least 9 commands per agent here, so no difference below is empty.

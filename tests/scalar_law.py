@@ -36,19 +36,35 @@ class Des(NamedTuple):
     psi_d: float
 
 
+UPPER = np.triu_indices(3)
+
+
+def full_matrix(entries) -> np.ndarray:
+    """The symmetric (..., 3, 3) matrix of six upper-triangle entries
+    (00, 01, 02, 11, 12, 22), each (...)."""
+    entries = np.broadcast_arrays(*entries)
+    out = np.empty(entries[0].shape + (3, 3))
+    for value, i, j in zip(entries, *UPPER):
+        out[..., i, j] = out[..., j, i] = value
+    return out
+
+
 def covariance_at(p_true, spec=SensorSpec()) -> np.ndarray:
-    """The sensor's position covariance at a true relative position."""
+    """The sensor's (3, 3) position covariance at a true relative
+    position."""
     d = np.linalg.norm(p_true, axis=-1)
-    return position_covariance(p_true / d, *covariance_sigmas(d, spec))
+    return full_matrix(position_covariance(p_true / d,
+                                           *covariance_sigmas(d, spec)))
 
 
 def stack(pairs):
     """The kernel's edge arrays (p_m, psi_m, p_d, psi_d, cov_p, var_psi) of
-    a list of (Meas, Des) pairs."""
+    a list of (Meas, Des) pairs; cov_p as its six upper-triangle entries."""
     meas, des = zip(*pairs)
+    cov = np.array([m.cov_p for m in meas])
     return (np.array([m.p_m for m in meas]), np.array([m.psi_m for m in meas]),
             np.array([d.p_d for d in des]), np.array([d.psi_d for d in des]),
-            np.array([m.cov_p for m in meas]),
+            tuple(cov[:, i, j] for i, j in zip(*UPPER)),
             np.array([m.var_psi for m in meas]))
 
 

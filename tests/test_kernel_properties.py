@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rigidflock.control import (ControllerConfig, _clamp, _inv_quad,
-                                agent_commands, edge_terms)
+                                agent_commands, edge_terms, law_constants)
 from rigidflock.core import (SKEW_Z, AgentPose, relative_poses, rotate_z,
                             rotz, std_normal_quantile, wrap_angle)
 from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
@@ -20,7 +20,7 @@ from rigidflock.sensors import (SensorSpec, covariance_sigmas,
 from rigidflock.sim import (Scenario, _EdgeCache, _error_series, _records,
                             init_state, run)
 from det_minors import det_minors
-from scalar_law import (Des, Meas, approx_rotated_desired,
+from scalar_law import (Des, Meas, approx_rotated_desired, full_matrix,
                         restrained_edge_terms, stack)
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
@@ -59,6 +59,24 @@ def test_kernel_matches_scalar_law(batch, ell):
         scale = 1.0 + np.linalg.norm(meas.p_m) + np.linalg.norm(des.p_d)
         assert np.abs(pos[e] - ref_pos).max() <= 1e-12 * scale
         assert abs(ang[e] - ref_ang) <= 1e-12 * scale ** 2
+
+
+@given(edges, st.lists(st.one_of(st.just(0.5), st.floats(0.001, 0.49)),
+                      min_size=1, max_size=3))
+def test_cell_batch_equals_lone_calls_bitwise(batch, ells):
+    # R cells on a leading axis share the desired poses and the covariance
+    # entries by broadcasting, each with its quantile in q (R, 1), a zero
+    # one among them; the simulator passes its per-run constants instead
+    # of var_psi
+    p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
+    q = np.array([[std_normal_quantile(ell)] for ell in ells])
+    cells = len(ells)
+    got = edge_terms(np.stack([p_m] * cells), np.stack([psi_m] * cells), p_d,
+                     psi_d, q, cov, const=law_constants(p_d, var_psi))
+    for r in range(cells):
+        want = edge_terms(p_m, psi_m, p_d, psi_d, q[r, 0], cov, var_psi)
+        assert got[0][r].tobytes() == want[0].tobytes()
+        assert got[1][r].tobytes() == want[1].tobytes()
 
 
 @given(edges, st.floats(0.001, 0.49), st.floats(0.001, 0.49))
@@ -113,7 +131,8 @@ def test_inv_quad_matches_solve_on_sensor_covariances(log_range, direction,
     # kernel adds it for the second position term.
     dist = 10.0 ** log_range
     r_hat = direction / np.linalg.norm(direction)
-    cov_p = position_covariance(r_hat, *covariance_sigmas(dist, SensorSpec()))
+    cov_p = full_matrix(position_covariance(
+        r_hat, *covariance_sigmas(dist, SensorSpec())))
     _assert_inv_quad_matches_solve(cov_p, u)
     meas, des = case
     cov_t = approx_rotated_desired(meas._replace(cov_p=cov_p), des)[1]

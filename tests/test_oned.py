@@ -502,6 +502,25 @@ def test_metrics_match_fresh_temporaries(name):
     assert same_bits(history, before)  # the input is left as it was
 
 
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(10, 80), st.integers(1, 6))
+def test_metric_columns_equal_lone_calls_bitwise(seed, size, runs):
+    # the 4D summary takes one (M, R) call per batch of R cells, each at
+    # its own rate: t_c, k_c, k_c_literal, sigma_t and converged of a
+    # column are those of a lone call. mean_dv is not: a column mean sums
+    # in another order.
+    rng = np.random.default_rng(seed)
+    decay = rng.uniform(0.8, 1.0, runs) ** np.arange(size)[:, None]
+    history = 10.0 ** rng.uniform(-3.0, 3.0, runs) * np.abs(
+        50.0 * decay + rng.standard_normal((size, runs)))
+    f = rng.uniform(1.0, 200.0, runs)
+    got = convergence_metrics_1d(history, f)
+    for r in range(runs):
+        want = convergence_metrics_1d(history[:, r], f[r])
+        for key in ("t_c", "k_c", "k_c_literal", "sigma_t", "converged"):
+            assert same_bits(got[key][r], want[key]), key
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 50),
        st.integers(1, 3))

@@ -1,16 +1,19 @@
 """Measurement noise synthesis."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rigidflock.control import DELTA
 from rigidflock.core import rotz
 from rigidflock.sensors import (SensorSpec, covariance_sigmas, init_stream,
                                 measurement_stream, perturb,
                                 position_covariance)
-from scalar_law import covariance_at
+from scalar_law import covariance_at, full_matrix
 
 
 def test_covariance_axis_aligned():
@@ -47,6 +50,37 @@ def test_covariance_eigenstructure():
     assert c @ tangent == pytest.approx((0.03 * d) ** 2 * tangent, rel=1e-12)
 
 
+# Unit vectors along the axes, with every sign of zero, and drawn ones.
+AXES = [np.array(v) for v in itertools.product((-1.0, -0.0, 0.0, 1.0),
+                                               repeat=3)
+        if sum(abs(c) for c in v) == 1.0]
+
+
+@st.composite
+def radial(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(AXES))
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3,
+                               max_size=3)))
+    return v / np.linalg.norm(v) if np.linalg.norm(v) > 1e-3 else AXES[0]
+
+
+@given(st.lists(st.tuples(radial(), st.one_of(
+    st.floats(1e-9, 1e-2), st.floats(1e-2, 1e4))), min_size=1, max_size=5))
+def test_covariance_entries_are_the_built_matrix_bitwise(edges):
+    # the six entries the law reads are the upper triangle of
+    # s_t^2 I + (s_r^2 - s_t^2) r r^T, signed zeros included; ranges under
+    # 1e-3 m put both sigmas on the DELTA floor
+    r_hat = np.array([r for r, _ in edges])
+    s_r, s_t = covariance_sigmas(np.array([d for _, d in edges]), SensorSpec())
+    built = (s_t[:, None, None] ** 2 * np.eye(3) + (s_r ** 2 - s_t ** 2)[
+        :, None, None] * (r_hat[:, :, None] * r_hat[:, None, :]))
+    got = position_covariance(r_hat, s_r, s_t)
+    assert len(got) == 6
+    for entry, i, j in zip(got, *np.triu_indices(3)):
+        assert entry.tobytes() == built[:, i, j].tobytes(), (i, j)
+
+
 def test_covariance_zero_distance_rejected():
     with pytest.raises(ArithmeticError):
         perturb(np.array([[1.0, 0, 0], [0, 0, 0]]), np.zeros(2),
@@ -68,9 +102,8 @@ def test_zero_noise_measurement_is_exact_with_floor():
     p_m, psi_m, dist, r_hat = perturb(p_rel, 0.3, z, spec)
     assert np.allclose(p_m, p_rel, atol=1e-15)
     assert psi_m == 0.3
-    assert np.allclose(position_covariance(r_hat,
-                                           *covariance_sigmas(dist, spec)),
-                       DELTA ** 2 * np.eye(3))
+    assert np.allclose(full_matrix(position_covariance(
+        r_hat, *covariance_sigmas(dist, spec))), DELTA ** 2 * np.eye(3))
 
 
 def test_attached_covariance_equals_generating_one():
@@ -82,7 +115,8 @@ def test_attached_covariance_equals_generating_one():
     p_m, psi_m, dist, r_hat = perturb(np.broadcast_to(p_rel, (4, 3)),
                                       np.full(4, -0.8), z, spec)
     a_t = p_m[:3] - p_rel  # row k is A e_k
-    c = position_covariance(r_hat[0], *covariance_sigmas(dist[0], spec))
+    c = full_matrix(position_covariance(r_hat[0],
+                                        *covariance_sigmas(dist[0], spec)))
     assert np.allclose(a_t.T @ a_t, c, rtol=0.0, atol=1e-12 * np.abs(c).max())
     assert np.array_equal(p_m[3], p_rel)
     assert np.array_equal(psi_m, -0.8 + spec.heading_sigma * z[:, 3])
