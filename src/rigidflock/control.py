@@ -75,8 +75,7 @@ def law_constants(p_d, var_psi):
             np.cos(sigma_psi), (1.0 - np.cos(sig_c)) ** 2, np.sin(sig_c) ** 2)
 
 
-def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None,
-               const=None):
+def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, const=None):
     """Per-edge control terms of E edges, before the gain and the cap.
 
     p_m, p_d are (..., E, 3) measured and desired relative positions and
@@ -85,9 +84,9 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None,
     heading terms (..., E)). With ``q`` None these are the proportional
     terms. Otherwise they are the restrained terms at quantile q =
     Phi^-1(ell), which need the position covariances cov_p, as the six
-    entries of ``sensors.position_covariance``, and heading variances
-    var_psi (scalar or (..., E)) of the measurements, or in its place
-    ``const = law_constants(p_d, var_psi)``, computed once per run.
+    entries of ``sensors.position_covariance``, and the per-run constants
+    ``const = law_constants(p_d, var_psi)`` of the measurements' heading
+    variances var_psi (scalar or (..., E)).
 
     The work is on x, y, z planes (``core.planes``), and temporaries go once
     spent: past the C heap's trim threshold, a batch step would fault in
@@ -103,8 +102,7 @@ def edge_terms(p_m, psi_m, p_d, psi_d, q=None, cov_p=None, var_psi=None,
     if q is None:
         return vectors((m - d) + (m - p_dr)), raw_bearing + 2.0 * dpsi
 
-    zeta_d, sigma_psi, cos_psi, k_r, k_t = const or law_constants(p_d,
-                                                                  var_psi)
+    zeta_d, sigma_psi, cos_psi, k_r, k_t = const
     c00, c01, c02, c11, c12, c22 = cov_p
     # Heading-consensus term; sign(0) = 0 keeps a dead-center error at zero.
     y4 = wrap_angle(dpsi + sigma_psi * np.sign(dpsi) * q)

@@ -1,9 +1,9 @@
 """Shared geometric and statistical primitives.
 
-Wrapped angles on the half-open interval (-pi, pi], planar z-axis rotations,
-the agent pose container, the stacked relative-pose map, and the standard
-normal CDF and its inverse from the standard library. Everything here is
-pure and stateless.
+Wrapped angles on the half-open interval (-pi, pi], x, y, z planes of
+vectors and their rotation about the z axis, the agent pose container, the
+stacked relative-pose map, and the standard normal CDF and its inverse from
+the standard library. Everything here is pure and stateless.
 """
 
 from __future__ import annotations
@@ -43,21 +43,9 @@ def wrap_angle(theta):
     return w
 
 
-def rotate_z(v, psi):
-    """Rotate (..., 3) vectors about the z axis by angles psi (...), keeping
-    v's memory layout unless psi adds axes: reductions sum in memory order,
-    so callers' norms keep their bits only if the layout is kept."""
-    v = np.asarray(v, dtype=float)
-    c, s = np.cos(psi), np.sin(psi)
-    x = c * v[..., 0] - s * v[..., 1]
-    out = np.empty_like(v, shape=x.shape + (3,))
-    out[..., 0], out[..., 1] = x, s * v[..., 0] + c * v[..., 1]
-    out[..., 2] = v[..., 2]
-    return out
-
-
 def turn(c, psi):
-    """rotate_z on x, y, z planes c (3, ...), as planes."""
+    """x, y, z planes c (3, ...) rotated about the z axis by angles psi
+    (...), as planes; psi broadcasts against each plane."""
     cos, sin = np.cos(psi), np.sin(psi)
     x = cos * c[0] - sin * c[1]
     out = np.empty((3,) + x.shape)
@@ -84,12 +72,6 @@ def vectors(c):
 def _axes(n: int):
     """Axis orders of planes() and vectors() for n axes."""
     return (n - 1, *range(n - 1)), (*range(1, n), 0)
-
-
-def rotz(psi: float) -> np.ndarray:
-    """3x3 rotation about the world z axis by angle psi."""
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -123,15 +105,14 @@ def relative_poses(positions, headings, obs_i, obs_j):
 
     positions (..., N, 3) and headings (..., N) are world poses; leading
     axes broadcast, so one call covers a whole state history. Returns
-    p_rel (..., E, 3) = R(psi_i)^T (p_j - p_i) and psi_rel (..., E) =
-    wrap(psi_j - psi_i).
+    p_rel (..., E, 3) = R(psi_i)^T (p_j - p_i), a view of x, y, z planes
+    (``vectors``), and psi_rel (..., E) = wrap(psi_j - psi_i).
     """
-    positions = np.asarray(positions, dtype=float)
     headings = np.asarray(headings, dtype=float)
     psi_i = headings[..., obs_i]
-    p_rel = rotate_z(positions[..., obs_j, :] - positions[..., obs_i, :],
-                     -psi_i)
-    return p_rel, wrap_angle(headings[..., obs_j] - psi_i)
+    c = planes(positions)
+    p_rel = turn(c[..., obs_j] - c[..., obs_i], -psi_i)
+    return vectors(p_rel), wrap_angle(headings[..., obs_j] - psi_i)
 
 
 # --- standard normal distribution -------------------------------------------

@@ -101,11 +101,6 @@ def restrain(dm, c, k_ef):
     return np.where(y > 0.0, k_ef * np.copysign(y, dm), 0.0)
 
 
-def restrained_displacement(dm, sigma_m, cfg: OneDConfig):
-    """restrain(dm, c, k_ef) with c = sigma_m Phi^-1(cfg.ell), cfg.k_ef."""
-    return restrain(dm, sigma_m * cfg.quantile, cfg.k_ef)
-
-
 def _normals(rngs, steps: int, shape: tuple, scale: float):
     """Per step, one standard_normal(shape) draw of each generator times
     scale, as one (len(rngs), *shape) array. They come in blocks of at most

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SKEW_Z, pose_arrays, relative_poses, rotate_z, wrap_angle
+from .core import (SKEW_Z, planes, pose_arrays, relative_poses, turn,
+                   vectors, wrap_angle)
 from .graphs import ObservationGraph
 
 
@@ -47,9 +48,9 @@ def formation_error_stack(poses, desired, graph: ObservationGraph
 
 
 def _rotations(psi: np.ndarray) -> np.ndarray:
-    """R(psi) about z, (..., 3, 3) for an angle array (...)."""
-    # rotate_z of the basis vectors gives the columns of R(psi)
-    return np.swapaxes(rotate_z(np.eye(3), psi[..., None]), -1, -2)
+    """R(psi) about z, (n, 3, 3) for angles (n,)."""
+    # turn of the basis vectors' planes gives R(psi) with the rows first
+    return turn(np.eye(3), psi[:, None]).swapaxes(0, 1)
 
 
 def _bands(poses, graph: ObservationGraph):
@@ -122,7 +123,8 @@ def fec_raw_commands(poses, desired, graph: ObservationGraph,
     out = np.zeros((graph.n, 4))
     np.add.at(out, obs_i, np.column_stack([
         dp, -np.einsum("ei,ij,ej->e", p_ij, SKEW_Z, dp) + dpsi]))
-    np.add.at(out, obs_j, -np.column_stack([rotate_z(dp, -psi_ij), dpsi]))
+    np.add.at(out, obs_j, -np.column_stack([
+        vectors(turn(planes(dp), -psi_ij)), dpsi]))
     return k_e * out
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .control import (ControllerConfig, agent_commands, edge_terms,
                       law_constants)
-from .core import (AgentPose, pose_arrays, relative_poses, rotate_z,
-                   wrap_angle)
+from .core import (AgentPose, planes, pose_arrays, relative_poses, turn,
+                   vectors, wrap_angle)
 from .graphs import ObservationGraph, count_passive_sinks, fiedler_value, \
     is_connected, remove_random_edges_keep_connected
 from .oned import convergence_metrics_1d
@@ -211,7 +211,7 @@ def step(positions, headings, z, dt, q, scenario: Scenario,
                               scenario.controller, dt.ravel())
     u, omega = u.reshape(positions.shape), omega.reshape(dt.shape)
 
-    positions = positions + rotate_z(u, headings) * dt[..., None]
+    positions = positions + vectors(turn(planes(u), headings) * dt)
     headings = headings + omega * dt
     _require_finite(k + 1, "positions", positions)
     _require_finite(k + 1, "headings", headings)
@@ -234,15 +234,18 @@ def _error_series(positions, headings, cache: _EdgeCache):
     """
     p_rel, psi_rel = relative_poses(positions, headings, cache.obs_i,
                                     cache.obs_j)
-    dp = cache.p_d - p_rel
+    x, y, z = planes(cache.p_d, p_rel.ndim) - planes(p_rel)
+    # Squared norms with the edges first (planes), summed along that axis.
+    sq = planes((x * x + y * y) + z * z)
+    disp_p = np.sqrt(np.add.reduce(sq, axis=0))
     dpsi = wrap_angle(cache.psi_d - psi_rel)
-    disp_p = np.linalg.norm(dp, axis=(-2, -1))
     disp_psi = np.linalg.norm(dpsi, axis=-1)
     e_f = np.hypot(disp_p, disp_psi)
     bad = np.flatnonzero(~np.isfinite(e_f))
     if bad.size:
         raise FloatingPointError(f"non-finite e_F at step {bad[0]}")
-    e_p = np.linalg.norm(dp, axis=-1) @ cache.weights
+    # The F-ordered (..., E) view keeps the gemv's bits; a C copy does not.
+    e_p = vectors(np.sqrt(sq)) @ cache.weights
     e_psi = np.abs(dpsi) @ cache.weights
     return e_f, e_p, e_psi, disp_p, disp_psi
 

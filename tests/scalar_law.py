@@ -7,6 +7,10 @@ rotation, dead-zone clamps) as an independent oracle: the hand-value tests
 pin it, and the property tests compare the kernel against it. Its inputs
 are one-edge records; ``stack`` turns a list of them into the kernel's
 edge arrays.
+
+It also keeps the vector forms that the package now evaluates on x, y, z
+planes: the rotation matrix ``rotz``, the (..., 3) rotation ``rotate_z``,
+and ``error_series``, the error series from vectors gathered per edge.
 """
 
 import math
@@ -15,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from rigidflock.control import DELTA
-from rigidflock.core import rotz, std_normal_quantile, wrap_angle
+from rigidflock.core import pose_arrays, std_normal_quantile, wrap_angle
 from rigidflock.sensors import (SensorSpec, covariance_sigmas,
                                 position_covariance)
 
@@ -37,6 +41,49 @@ class Des(NamedTuple):
 
 
 UPPER = np.triu_indices(3)
+
+
+def rotz(psi: float) -> np.ndarray:
+    """3x3 rotation about the world z axis by angle psi."""
+    c, s = math.cos(psi), math.sin(psi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rotate_z(v, psi):
+    """Rotate (..., 3) vectors about the z axis by angles psi (...), keeping
+    v's memory layout unless psi adds axes: reductions sum in memory order,
+    so callers' norms keep their bits only if the layout is kept."""
+    v = np.asarray(v, dtype=float)
+    c, s = np.cos(psi), np.sin(psi)
+    x = c * v[..., 0] - s * v[..., 1]
+    out = np.empty_like(v, shape=x.shape + (3,))
+    out[..., 0], out[..., 1] = x, s * v[..., 0] + c * v[..., 1]
+    out[..., 2] = v[..., 2]
+    return out
+
+
+def error_series(positions, headings, desired, graph):
+    """(e_F, e_p, e_psi, disp_p, disp_psi) of states (..., N, 3), (..., N)
+    in vector form: relative positions gathered as (..., E, 3) and rotated
+    in that layout, residual norms by np.linalg.norm."""
+    obs_i, obs_j = graph.edge_index()
+
+    def kappa(pos, psi):
+        pos, psi = np.asarray(pos, dtype=float), np.asarray(psi, dtype=float)
+        psi_i = psi[..., obs_i]
+        return (rotate_z(pos[..., obs_j, :] - pos[..., obs_i, :], -psi_i),
+                wrap_angle(psi[..., obs_j] - psi_i))
+
+    p_d, psi_d = kappa(*pose_arrays(desired))
+    p_rel, psi_rel = kappa(positions, headings)
+    dp = p_d - p_rel
+    dpsi = wrap_angle(psi_d - psi_rel)
+    disp_p = np.linalg.norm(dp, axis=(-2, -1))
+    disp_psi = np.linalg.norm(dpsi, axis=-1)
+    deg = np.bincount(obs_i, minlength=graph.n)
+    weights = 1.0 / (deg[obs_i] * np.count_nonzero(deg))
+    return (np.hypot(disp_p, disp_psi), np.linalg.norm(dp, axis=-1) @ weights,
+            np.abs(dpsi) @ weights, disp_p, disp_psi)
 
 
 def full_matrix(entries) -> np.ndarray:

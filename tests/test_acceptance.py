@@ -16,15 +16,16 @@ import time
 import numpy as np
 import pytest
 
-from rigidflock.control import ControllerConfig, agent_commands, edge_terms
+from rigidflock.control import (ControllerConfig, agent_commands, edge_terms,
+                                law_constants)
 from rigidflock.core import AgentPose
 from rigidflock.graphs import ObservationGraph, is_connected
 from rigidflock.oned import (OneDConfig, dominance_check,
                              estimate_coherence_time, expected_coherence_time,
-                             kl_divergence_gaussianity,
-                             restrained_displacement, run_1d_ensemble,
-                             run_1d_two_agents, sigma_ss_proportional,
-                             sigma_ss_restrained, tradeoff_sweep)
+                             kl_divergence_gaussianity, restrain,
+                             run_1d_ensemble, run_1d_two_agents,
+                             sigma_ss_proportional, sigma_ss_restrained,
+                             tradeoff_sweep)
 from rigidflock.rigidity import (formation_error_stack,
                                  gradient_consistency_residual,
                                  is_positive_definite_minors, kappa_stack,
@@ -99,7 +100,7 @@ def test_c4_minimum_motion_probability():
     for ell in (0.05, 0.2, 0.35):
         cfg = OneDConfig(k_ef=0.5, ell=ell, sigma_m=1.0)
         e = rng.standard_normal(n)
-        moved = restrained_displacement(-e, cfg.sigma_m, cfg) != 0.0
+        moved = restrain(-e, cfg.sigma_m * cfg.quantile, cfg.k_ef) != 0.0
         p_hat = float(moved.mean())
         se = math.sqrt(2 * ell * (1 - 2 * ell) / n)
         ok = ok and abs(p_hat - 2 * ell) <= 3 * se
@@ -240,7 +241,8 @@ def test_c8_half_ell_degeneracy_exact():
         p_m, psi_m, p_d, psi_d, cov, var_psi = stack(meas)
         obs_i = np.zeros(len(meas), int)
         r_u, r_omega = agent_commands(obs_i, *edge_terms(
-            p_m, psi_m, p_d, psi_d, cfg.quantile, cov, var_psi), 1, cfg, 0.1)
+            p_m, psi_m, p_d, psi_d, cfg.quantile, cov,
+            const=law_constants(p_d, var_psi)), 1, cfg, 0.1)
         p_u, p_omega = agent_commands(obs_i, *edge_terms(
             p_m, psi_m, p_d, psi_d, None), 1, cfg, 0.1)
         if np.array_equal(r_u, p_u) and np.array_equal(r_omega, p_omega):

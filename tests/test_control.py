@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from rigidflock.control import (ControllerConfig, DELTA, agent_commands,
-                                edge_terms)
-from rigidflock.core import rotz, std_normal_quantile, wrap_angle
+                                edge_terms, law_constants)
+from rigidflock.core import std_normal_quantile, wrap_angle
 from scalar_law import (Des, Meas, _tau_psi1, approx_rotated_desired,
                         bearing_sigma, clamp_dz, covariance_at,
-                        restrained_bearing_term, setpoint_p1, setpoint_p2,
-                        setpoint_psi2, stack)
+                        restrained_bearing_term, rotz, setpoint_p1,
+                        setpoint_p2, setpoint_psi2, stack)
 
 Q03 = std_normal_quantile(0.3)  # about -0.5244
 
@@ -39,7 +39,8 @@ def _command(pairs, cfg, dt=1.0, q=None):
     """One observer's (u, omega) over its (Meas, Des) pairs; q as in
     edge_terms: None for the proportional law, cfg.quantile restrained."""
     p_m, psi_m, p_d, psi_d, cov, var_psi = stack(pairs)
-    terms = edge_terms(p_m, psi_m, p_d, psi_d, q, cov, var_psi)
+    terms = edge_terms(p_m, psi_m, p_d, psi_d, q, cov,
+                       const=law_constants(p_d, var_psi))
     u, omega = agent_commands(np.zeros(len(pairs), int), *terms, 1, cfg, dt)
     return u[0], omega[0]
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from rigidflock.core import (AgentPose, pose_arrays, relative_poses, rotate_z,
-                             rotz, std_normal_cdf, std_normal_quantile,
-                             wrap_angle)
+from rigidflock.core import (AgentPose, planes, pose_arrays, relative_poses,
+                             std_normal_cdf, std_normal_quantile, turn,
+                             vectors, wrap_angle)
+from scalar_law import rotz
 
 TAU = 2 * math.pi
 
@@ -64,30 +65,27 @@ def test_rotz_basics():
 
 
 def _rotate_z_stacked(v, psi):
-    """The np.stack form of rotate_z: the oracle of its values and of its
-    layout when psi adds no axes."""
+    """The np.stack form of a z rotation of (..., 3) vectors by psi (...)."""
     c, s = np.cos(psi), np.sin(psi)
     x = c * v[..., 0] - s * v[..., 1]
     y = s * v[..., 0] + c * v[..., 1]
     return np.stack([x, y, np.broadcast_to(v[..., 2], x.shape)], axis=-1)
 
 
-def test_rotate_z_keeps_layout_and_bits_of_stacked_form():
-    # A (T, E, 3) history indexed by edge, as relative_poses builds it: the
-    # edge axis is outermost in memory, and the rotation keeps that layout.
+def test_turn_of_planes_equals_stacked_form_bitwise():
     rng = np.random.default_rng(4)
-    edges = [0, 2, 3, 1, 2]
-    v = rng.standard_normal((7, 4, 3))[:, edges, :]
-    psi = rng.uniform(-4.0, 4.0, (7, 4))[:, edges]
-    assert not v.flags.c_contiguous
-    got, want = rotate_z(v, psi), _rotate_z_stacked(v, psi)
-    assert got.strides == v.strides == want.strides
-    assert got.tobytes() == want.tobytes()
-    # psi broadcasting v to a larger shape gives a fresh C-ordered array
-    p_d = rng.standard_normal((5, 3))
-    got = rotate_z(p_d, psi)
-    assert got.flags.c_contiguous
-    assert got.tobytes() == _rotate_z_stacked(p_d, psi).tobytes()
+    v = rng.standard_normal((7, 5, 3))
+    psi = rng.uniform(-4.0, 4.0, (7, 5))
+    # p_d (5, 3) is broadcast by psi (7, 5), as desired poses are by a batch
+    for w in (v, v[0]):
+        got = vectors(turn(planes(w), psi))
+        assert got.shape == (7, 5, 3)
+        assert got.tobytes() == _rotate_z_stacked(w, psi).tobytes()
+        want = np.array([rotz(a) @ b for a, b in
+                         zip(psi.ravel(), np.broadcast_to(w, got.shape)
+                             .reshape(-1, 3))]).reshape(got.shape)
+        scale = np.linalg.norm(w, axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 def _rel(q_i, q_j):

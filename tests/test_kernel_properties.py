@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from rigidflock.control import (ControllerConfig, _clamp, _inv_quad,
                                 agent_commands, edge_terms, law_constants)
-from rigidflock.core import (SKEW_Z, AgentPose, relative_poses, rotate_z,
-                            rotz, std_normal_quantile, wrap_angle)
+from rigidflock.core import (SKEW_Z, AgentPose, relative_poses,
+                            std_normal_quantile, wrap_angle)
 from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
                                is_connected)
 from rigidflock.rigidity import (is_positive_definite_minors, m_matrix,
@@ -21,7 +21,7 @@ from rigidflock.sim import (Scenario, _EdgeCache, _error_series, _records,
                             init_state, run)
 from det_minors import det_minors
 from scalar_law import (Des, Meas, approx_rotated_desired, full_matrix,
-                        restrained_edge_terms, stack)
+                        restrained_edge_terms, rotate_z, rotz, stack)
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
 angle = st.floats(-3.1, 3.1, allow_nan=False)
@@ -53,7 +53,7 @@ edges = st.lists(edge(), min_size=1, max_size=4)
 def test_kernel_matches_scalar_law(batch, ell):
     p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
     pos, ang = edge_terms(p_m, psi_m, p_d, psi_d, std_normal_quantile(ell),
-                          cov, var_psi)
+                          cov, const=law_constants(p_d, var_psi))
     for e, (meas, des) in enumerate(batch):
         ref_pos, ref_ang = restrained_edge_terms(meas, des, ell)
         scale = 1.0 + np.linalg.norm(meas.p_m) + np.linalg.norm(des.p_d)
@@ -66,15 +66,15 @@ def test_kernel_matches_scalar_law(batch, ell):
 def test_cell_batch_equals_lone_calls_bitwise(batch, ells):
     # R cells on a leading axis share the desired poses and the covariance
     # entries by broadcasting, each with its quantile in q (R, 1), a zero
-    # one among them; the simulator passes its per-run constants instead
-    # of var_psi
+    # one among them, and all with the same per-run constants
     p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
     q = np.array([[std_normal_quantile(ell)] for ell in ells])
     cells = len(ells)
+    const = law_constants(p_d, var_psi)
     got = edge_terms(np.stack([p_m] * cells), np.stack([psi_m] * cells), p_d,
-                     psi_d, q, cov, const=law_constants(p_d, var_psi))
+                     psi_d, q, cov, const)
     for r in range(cells):
-        want = edge_terms(p_m, psi_m, p_d, psi_d, q[r, 0], cov, var_psi)
+        want = edge_terms(p_m, psi_m, p_d, psi_d, q[r, 0], cov, const)
         assert got[0][r].tobytes() == want[0].tobytes()
         assert got[1][r].tobytes() == want[1].tobytes()
 
@@ -86,8 +86,9 @@ def test_position_terms_shrink_with_ell_unless_errors_oppose(batch, l1, l2):
     assume(l1 != l2)
     l1, l2 = sorted((l1, l2))
     p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
+    const = law_constants(p_d, var_psi)
     pos1, pos2 = (edge_terms(p_m, psi_m, p_d, psi_d, std_normal_quantile(ell),
-                             cov, var_psi)[0] for ell in (l1, l2))
+                             cov, const)[0] for ell in (l1, l2))
     for e, (meas, des) in enumerate(batch):
         a1 = meas.p_m - des.p_d
         a2 = meas.p_m - approx_rotated_desired(meas, des)[0]
@@ -143,8 +144,9 @@ def _both_laws(batch, cfg, dt=1.0):
     """(u, omega) of one observer over batch, proportional and restrained."""
     p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
     obs_i = np.zeros(len(batch), int)
+    const = law_constants(p_d, var_psi)
     return [agent_commands(obs_i, *edge_terms(p_m, psi_m, p_d, psi_d, q, cov,
-                                              var_psi), 1, cfg, dt)
+                                              const), 1, cfg, dt)
             for q in (None, cfg.quantile)]
 
 

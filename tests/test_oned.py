@@ -17,8 +17,7 @@ from rigidflock.oned import (OneDConfig, beta_interp, conditional_variance_at_ta
                              effective_gain, estimate_coherence_time,
                              exp_approx_1d, expected_coherence_time,
                              kl_divergence_gaussianity, motion_probability,
-                             restrain, restrained_displacement,
-                             run_1d_ensemble, run_1d_two_agents,
+                             restrain, run_1d_ensemble, run_1d_two_agents,
                              sigma_ss_proportional, sigma_ss_restrained,
                              stopping_probability, tradeoff_sweep,
                              variance_closed_form)
@@ -38,9 +37,9 @@ def cfg(**kw):
 
 def test_proportional_step_examples():
     c = cfg(k_ef=1.0, d=2.0)
-    assert 5.0 + restrained_displacement(c.d - 5.0, c.sigma_m, c) == 2.0
+    assert 5.0 + restrain(c.d - 5.0, c.sigma_m * c.quantile, c.k_ef) == 2.0
     c = cfg(k_ef=0.5, d=2.0)
-    assert 4.0 + restrained_displacement(c.d - 4.0, c.sigma_m, c) == 3.0
+    assert 4.0 + restrain(c.d - 4.0, c.sigma_m * c.quantile, c.k_ef) == 3.0
 
 
 def test_proportional_step_identity():
@@ -50,7 +49,7 @@ def test_proportional_step_identity():
         x = rng.uniform(-10, 10)
         e = rng.normal()
         m = x - e  # e is the negated measurement error
-        got = x + restrained_displacement(c.d - m, c.sigma_m, c)
+        got = x + restrain(c.d - m, c.sigma_m * c.quantile, c.k_ef)
         want = c.d + (x - c.d) * (1 - c.k_ef) + c.k_ef * e
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -61,7 +60,7 @@ def test_restrained_step_half_equals_proportional():
     for _ in range(200):
         x = rng.uniform(-5, 5)
         m = x + rng.normal()
-        assert x + restrained_displacement(c.d - m, c.sigma_m, c) \
+        assert x + restrain(c.d - m, c.sigma_m * c.quantile, c.k_ef) \
             == x + c.k_ef * (c.d - m)
 
 
@@ -72,17 +71,17 @@ def test_restrained_step_dead_zone():
     x = 3.0
     for frac in (-0.9, -0.5, 0.0, 0.5, 0.9):
         m = c.d - frac * zone
-        assert x + restrained_displacement(c.d - m, c.sigma_m, c) == x
+        assert x + restrain(c.d - m, c.sigma_m * c.quantile, c.k_ef) == x
     # just outside the zone the step is nonzero
     m = c.d - 1.01 * zone
-    assert x + restrained_displacement(c.d - m, c.sigma_m, c) != x
+    assert x + restrain(c.d - m, c.sigma_m * c.quantile, c.k_ef) != x
 
 
 def test_restrained_step_displacement_value():
     c = cfg(k_ef=0.5, ell=0.3, d=0.0, sigma_m=1.5)
     m = c.d - 2.0 * c.sigma_m  # measured error of +2 sigma
     x = 5.0
-    got = x + restrained_displacement(c.d - m, c.sigma_m, c)
+    got = x + restrain(c.d - m, c.sigma_m * c.quantile, c.k_ef)
     assert got - x == pytest.approx(c.k_ef * c.sigma_m * (2.0 + Q03),
                                     rel=1e-12)
 
@@ -94,7 +93,7 @@ def test_restrained_keeps_quantile_band_on_exact_measurements():
     c = cfg(k_ef=0.7, ell=0.2, d=0.0, sigma_m=1.0)
     q = abs(c.quantile)
     for x in np.linspace(q * 1.0001, 6.0, 200):
-        x2 = x + restrained_displacement(c.d - x, c.sigma_m, c)
+        x2 = x + restrain(c.d - x, c.sigma_m * c.quantile, c.k_ef)
         assert x2 - c.d >= q * c.sigma_m - 1e-12
         assert x2 <= x
 
@@ -108,7 +107,7 @@ def test_restrained_overshoot_probability_bounded_by_ell():
         c = cfg(k_ef=0.7, ell=ell, d=0.0, sigma_m=1.0)
         for delta in (0.3, 1.0, 3.0):
             e = rng.standard_normal(n) * c.sigma_m
-            x2 = delta + restrained_displacement(-delta - e, c.sigma_m, c)
+            x2 = delta + restrain(-delta - e, c.sigma_m * c.quantile, c.k_ef)
             p_hat = float((x2 < 0.0).mean())
             se = math.sqrt(ell * (1 - ell) / n)
             assert p_hat <= ell + 3 * se
@@ -218,7 +217,7 @@ def test_motion_probability_at_target_is_2ell():
     c = cfg(k_ef=0.5, ell=0.2, sigma_m=1.3)
     n = 400_000
     e = rng.standard_normal(n) * c.sigma_m
-    moved = restrained_displacement(-e, c.sigma_m, c) != 0.0
+    moved = restrain(-e, c.sigma_m * c.quantile, c.k_ef) != 0.0
     p_hat = moved.mean()
     se = math.sqrt(2 * c.ell * (1 - 2 * c.ell) / n)
     assert abs(p_hat - 2 * c.ell) <= 3 * se
@@ -248,7 +247,7 @@ def test_conditional_variance_against_monte_carlo():
                              (0.7, 0.45, 0.5)]:
         c = cfg(k_ef=k_ef, ell=ell, sigma_m=sigma)
         e = rng.standard_normal(10_000_000) * sigma
-        step = restrained_displacement(-e, sigma, c)
+        step = restrain(-e, sigma * c.quantile, c.k_ef)
         assert conditional_variance_at_target(c) \
             == pytest.approx(float(step.var()), rel=0.02)
 
@@ -403,8 +402,6 @@ def test_restrain_matches_direct_form_on_adversarial_inputs(ell, sigma_m,
     with np.errstate(over="ignore"):  # k_ef 2.05 takes 1e308 past the max
         want = oned_loops.direct_displacement(dm, sigma_m, q, k_ef)
         assert same_bits(restrain(dm, c, k_ef), want)
-        assert same_bits(restrained_displacement(
-            dm, sigma_m, cfg(k_ef=k_ef, ell=ell, sigma_m=sigma_m)), want)
         # scalars too, one at a time
         for value, expect in zip(dm, want):
             assert same_bits(restrain(float(value), c, k_ef), expect)

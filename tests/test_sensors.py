@@ -9,11 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rigidflock.control import DELTA
-from rigidflock.core import rotz
 from rigidflock.sensors import (SensorSpec, covariance_sigmas, init_stream,
                                 measurement_stream, perturb,
                                 position_covariance)
-from scalar_law import covariance_at, full_matrix
+from scalar_law import covariance_at, full_matrix, rotz
 
 
 def test_covariance_axis_aligned():

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from rigidflock.control import ControllerConfig
-from rigidflock.core import AgentPose, rotz, wrap_angle
+from rigidflock.core import AgentPose, wrap_angle
 from rigidflock.graphs import ObservationGraph, fiedler_value, is_connected
 from rigidflock.sensors import SensorSpec
 from rigidflock.sim import (Scenario, ScenarioError, _EdgeCache,
-                            builtin_scenarios, formation_error,
+                            _error_series, builtin_scenarios, formation_error,
                             heading_loop_gain, init_state, run, step, sweep)
+from scalar_law import error_series, rotz
 
 
 def cell_steps(scen, positions, headings, cache=None):
@@ -135,6 +136,23 @@ def test_run_record_shapes_and_zero_horizon():
     assert empty.positions.shape == (1, n, 3)
     assert empty.u.shape == (0, n, 3)
     assert empty.summary == {}
+
+
+@pytest.mark.parametrize("steps", (9, 150))
+@pytest.mark.parametrize("name", ("pair", "triangle3", "triangle6",
+                                  "triangle6_sparse"))
+def test_error_series_equal_vector_form_bitwise(name, steps):
+    # the sums on planes against np.linalg.norm of vectors gathered per edge
+    scen = next(s for s in builtin_scenarios(seed=2) if s.name == name)
+    scen = dataclasses.replace(
+        scen, horizon_steps=steps,
+        controller=dataclasses.replace(scen.controller, ell=0.2))
+    rec = run(scen)
+    want = error_series(rec.positions, rec.headings, scen.desired, scen.graph)
+    got = _error_series(rec.positions, rec.headings,
+                        _EdgeCache(scen.desired, scen.graph))
+    for a, b in zip(got + (rec.e_f, rec.e_p, rec.e_psi), want + want[:3]):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_se2_invariance_of_error_series():
