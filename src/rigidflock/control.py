@@ -210,15 +210,15 @@ def _clamp(y, a):
                     & (np.abs(y) <= np.abs(a)), y, 0.0)
 
 
-def agent_commands(obs_i, pos_terms, ang_terms, n: int,
+def agent_commands(index, pos_terms, ang_terms, n: int,
                    cfg: ControllerConfig, dt: float):
     """u (n, 3), omega (n,): the edge terms (..., E, 3), (..., E) summed per
-    observer obs_i (..., E) in edge order, scaled by k_e, the heading rate
-    capped at omega_cap / dt.
-    """
-    u = np.zeros((n, 3))
-    omega = np.zeros(n)
-    np.add.at(u, obs_i, pos_terms)
-    np.add.at(omega, obs_i, ang_terms)
+    observer, scaled by k_e, the heading rate capped at omega_cap / dt. One
+    bincount adds the terms into +0.0 in edge order, each at its slot index
+    (4, ..., E) = obs_i + plane * n of the (4, n) table of x, y, z and
+    heading sums, obs_i (..., E) the edges' observers; u is a view."""
+    sums = np.bincount(np.ravel(index), weights=np.concatenate(
+        (planes(pos_terms), ang_terms[None])).ravel(), minlength=4 * n)
+    sums = sums.reshape(4, n) * cfg.k_e
     cap = cfg.omega_cap / dt
-    return cfg.k_e * u, np.minimum(np.maximum(cfg.k_e * omega, -cap), cap)
+    return vectors(sums[:3]), np.minimum(np.maximum(sums[3], -cap), cap)

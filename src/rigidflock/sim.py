@@ -9,10 +9,10 @@ One function, ``step``, advances a batch of cells that share a seed and
 differ in rate and ell (a run is a batch of one): it maps true poses to
 relative poses with ``core.relative_poses`` and evaluates the control law
 with ``control.edge_terms``, once over all edges of all cells. A property
-test checks the law against an independent scalar form. Each cell's error
-series (e_F, e_p, e_psi) is computed after the run, in one vectorized pass
-of the same relative-pose map over its recorded ground-truth history, and a
-batch's convergence metrics in one call per series, the cells as columns.
+test checks the law against an independent scalar form. A run's error
+series (e_F, e_p, e_psi) come from its recorded history afterwards; a sweep
+records no states and takes its rows from the relative poses each step
+computes. A batch's metrics are one call per series, cells as columns.
 A run's noise is drawn once, from one stream per (seed, agent), and one
 (scenario, seed) pair always reproduces the same run bit for bit.
 """
@@ -176,12 +176,13 @@ class _EdgeCache:
         self._batches = {}
 
     def batch(self, shape, var_psi):
-        """Per-run constants of a batch of agent periods of this shape: each
-        edge's observer row in the batch's agent table, and law_constants."""
+        """Per-run constants of a batch of agent periods of this shape: the
+        flat (4, ..., E) index of agent_commands, and law_constants."""
         key = shape, var_psi
         if key not in self._batches:
-            rows = np.arange(math.prod(shape)).reshape(shape)[..., self.obs_i]
-            self._batches[key] = rows, law_constants(self.p_d, var_psi)
+            self._batches[key] = np.arange(4 * math.prod(shape)).reshape(
+                (4,) + shape)[..., self.obs_i].ravel(), law_constants(
+                    self.p_d, var_psi)
         return self._batches[key]
 
 
@@ -193,12 +194,12 @@ def step(positions, headings, z, dt, q, scenario: Scenario,
     cells' on a leading axis, all seeing the (E, 4) standard normals z and
     differing in agent periods dt (..., N) and quantile q: None (ell = 0.5,
     the proportional law), a scalar or (R, 1). Faults name step k + 1.
-    Returns the next positions, headings and the commands u, omega.
+    Returns the next state, the commands u, omega and the relative poses.
     """
     spec = scenario.sensor
-    rows, const = cache.batch(dt.shape, spec.heading_sigma ** 2)
-    p_m, psi_m, dist, r_hat = perturb(*relative_poses(
-        positions, headings, cache.obs_i, cache.obs_j), z, spec)
+    index, const = cache.batch(dt.shape, spec.heading_sigma ** 2)
+    rel = relative_poses(positions, headings, cache.obs_i, cache.obs_j)
+    p_m, psi_m, dist, r_hat = perturb(*rel, z, spec)
     _require_finite(k + 1, "measurements", p_m)
     psi_m = wrap_angle(psi_m)
     # The restrained law sees floored covariances, never degenerate ones.
@@ -207,7 +208,7 @@ def step(positions, headings, z, dt, q, scenario: Scenario,
     del dist, r_hat  # spent: see edge_terms on a batch's temporaries
     pos_terms, ang_terms = edge_terms(p_m, psi_m, cache.p_d, cache.psi_d, q,
                                       cov_p, const=const)
-    u, omega = agent_commands(rows, pos_terms, ang_terms, dt.size,
+    u, omega = agent_commands(index, pos_terms, ang_terms, dt.size,
                               scenario.controller, dt.ravel())
     u, omega = u.reshape(positions.shape), omega.reshape(dt.shape)
 
@@ -215,7 +216,7 @@ def step(positions, headings, z, dt, q, scenario: Scenario,
     headings = headings + omega * dt
     _require_finite(k + 1, "positions", positions)
     _require_finite(k + 1, "headings", headings)
-    return positions, wrap_angle(headings), u, omega
+    return positions, wrap_angle(headings), u, omega, *rel
 
 
 def _require_finite(step_index: int, name: str, values):
@@ -224,35 +225,43 @@ def _require_finite(step_index: int, name: str, values):
         raise FloatingPointError(f"non-finite {name} at step {step_index}")
 
 
-def _error_series(positions, headings, cache: _EdgeCache):
-    """(e_F, e_p, e_psi, disp_p, disp_psi) of states (..., N, 3), (..., N).
-
-    disp_p and disp_psi are the norms of the stacked position and wrapped
-    heading residuals of all edges, and e_F = hypot(disp_p, disp_psi). e_F
-    bounds every residual the summary uses, so it overflows first: a
-    non-finite e_F raises, naming the first such state as the step.
-    """
-    p_rel, psi_rel = relative_poses(positions, headings, cache.obs_i,
-                                    cache.obs_j)
+def _residuals(p_rel, psi_rel, cache: _EdgeCache):
+    """(disp_p, disp_psi, sq, dpsi) of relative poses (..., E, 3), (..., E):
+    the norms of the stacked position and wrapped heading residuals dpsi of
+    all edges, and the squared position residual norms sq (E, ...)."""
     x, y, z = planes(cache.p_d, p_rel.ndim) - planes(p_rel)
-    # Squared norms with the edges first (planes), summed along that axis.
     sq = planes((x * x + y * y) + z * z)
-    disp_p = np.sqrt(np.add.reduce(sq, axis=0))
     dpsi = wrap_angle(cache.psi_d - psi_rel)
-    disp_psi = np.linalg.norm(dpsi, axis=-1)
+    # Edges lead, two series follow: a reduce adds each state's edges in order.
+    disp_p, disp_psi = np.sqrt(np.add.reduce(np.concatenate(
+        (sq[:, None], planes(dpsi * dpsi)[:, None]), axis=1), axis=0))
+    return disp_p, disp_psi, sq, dpsi
+
+
+def _e_f(disp_p, disp_psi):
+    """e_F = hypot(disp_p, disp_psi) of states (T+1, ...). It bounds every
+    residual, so overflows first: a non-finite one raises, naming a step."""
     e_f = np.hypot(disp_p, disp_psi)
-    bad = np.flatnonzero(~np.isfinite(e_f))
+    bad = np.argwhere(~np.isfinite(np.atleast_1d(e_f).T))
     if bad.size:
-        raise FloatingPointError(f"non-finite e_F at step {bad[0]}")
+        raise FloatingPointError(f"non-finite e_F at step {bad[0, -1]}")
+    return e_f
+
+
+def _error_series(positions, headings, cache: _EdgeCache):
+    """(e_F, e_p, e_psi, disp_p, disp_psi) of states (..., N, 3), (..., N);
+    see _residuals and _e_f."""
+    disp_p, disp_psi, sq, dpsi = _residuals(*relative_poses(
+        positions, headings, cache.obs_i, cache.obs_j), cache)
     # The F-ordered (..., E) view keeps the gemv's bits; a C copy does not.
-    e_p = vectors(np.sqrt(sq)) @ cache.weights
-    e_psi = np.abs(dpsi) @ cache.weights
-    return e_f, e_p, e_psi, disp_p, disp_psi
+    return (_e_f(disp_p, disp_psi), vectors(np.sqrt(sq)) @ cache.weights,
+            np.abs(dpsi) @ cache.weights, disp_p, disp_psi)
 
 
-def _records(scenario: Scenario, cells):
+def _records(scenario: Scenario, cells, history: bool = True):
     """Yield (c, RunRecord) for each cell c = (sensor, controller) of cells,
-    all from the one start and noise that init_state draws for scenario.
+    all from the one start and noise that init_state draws for scenario;
+    without history, yield (c, summary) and record no states.
 
     Cells step together in batches of one law branch (ell = 0.5 takes the
     proportional path); a lone cell steps without the cell axis, which
@@ -266,41 +275,57 @@ def _records(scenario: Scenario, cells):
     threshold = 0.5 * scenario.min_desired_distance()
     fiedler = np.full(steps + 1, fiedler_value(scenario.graph)
                       if n >= 2 else 0.0)
-    # Batches hold at most 2^21 history floats (16 MiB), 8 per agent-state.
-    size = max(1, 2 ** 21 // (8 * (steps + 1) * n))
+    # Batches retain at most 2^21 floats (16 MiB): per cell-state 2 residual
+    # norms, each agent's |du| and omega, and with history its states and u.
+    size = max(1, 2 ** 21 // ((2 + (9 if history else 2) * n) * (steps + 1)))
     branches = [[c for c, (_, cfg) in enumerate(cells)
                  if (cfg.ell == 0.5) == half] for half in (True, False)]
     for batch in (b[lo:lo + size] for b in branches
                   for lo in range(0, len(b), size)):
         specs, cfgs = zip(*(cells[c] for c in batch))
+        r = len(batch)
         dt = np.array([[1.0 / spec.rate_hz] * n for spec in specs])
         q = None if cfgs[0].ell == 0.5 else np.array(
             [[cfg.quantile] for cfg in cfgs])
-        if len(batch) == 1:
+        if r == 1:
             dt, q = dt[0], q if q is None else q.item()
-        positions = np.empty((steps + 1, len(batch), n, 3))
-        headings = np.empty((steps + 1, len(batch), n))
-        u = np.empty((steps, len(batch), n, 3))
-        omega = np.empty((steps, len(batch), n))
-        positions[0], headings[0] = positions0, headings0
+        pos, psi = (np.broadcast_to(a, dt.shape + a.shape[1:]).copy()
+                    for a in (positions0, headings0))
+        disp, omega = np.empty((2, steps + 1, r)), np.empty((r, steps, n))
+        du = np.empty((r, max(steps - 1, 0), n))
+        if history:
+            positions = np.empty((steps + 1, r, n, 3))
+            headings = np.empty((steps + 1, r, n))
+            u = np.empty((steps, r, n, 3))
+            positions[0], headings[0] = positions0, headings0
         for k in range(steps):
-            positions[k + 1], headings[k + 1], u[k], omega[k] = step(
-                positions[k].reshape(dt.shape + (3,)),
-                headings[k].reshape(dt.shape), noise[k], dt, q, scenario,
-                cache, k)
-        # Each cell's error series, then one metrics call per series.
-        series = [_error_series(positions[:, b], headings[:, b], cache)
-                  for b in range(len(batch))]
-        metrics = None if steps < 9 else [convergence_metrics_1d(
-            np.column_stack([s[i] for s in series]),
-            np.array([spec.rate_hz for spec in specs])) for i in (3, 4)]
+            pos, psi, u_k, omega[:, k], p_rel, psi_rel = step(
+                pos, psi, noise[k], dt, q, scenario, cache, k)
+            if history:
+                positions[k + 1], headings[k + 1], u[k] = pos, psi, u_k
+            else:
+                disp[0, k], disp[1, k] = _residuals(p_rel, psi_rel, cache)[:2]
+            if k:
+                du[:, k - 1] = np.sqrt(np.square(u_k - u_prev).sum(-1))
+            u_prev = u_k
+        if history:
+            series = [_error_series(positions[:, b], headings[:, b], cache)
+                      for b in range(r)]
+            disp[:] = np.moveaxis([s[3:] for s in series], 0, -1)
+        else:
+            disp[0, -1], disp[1, -1] = _residuals(*relative_poses(
+                pos, psi, cache.obs_i, cache.obs_j), cache)[:2]
+            _e_f(*disp)
+        rates = np.array([spec.rate_hz for spec in specs])
+        summaries = _summarize(None if steps < 9 else [
+            convergence_metrics_1d(d, rates) for d in disp],
+            disp[0], du, omega, rates, threshold)
         # Copies, so no record keeps this batch alive into the next one.
         for b, c in enumerate(batch):
-            history = [a[:, b].copy() for a in (positions, headings, u, omega)]
-            yield c, RunRecord(*history, *series[b][:3], fiedler, _summarize(
-                b, metrics, series[b][3], *history[2:], specs[b].rate_hz,
-                threshold))
-        del positions, headings, u, omega
+            yield c, summaries[b] if not history else RunRecord(
+                *(a[:, b].copy() for a in (positions, headings, u)),
+                omega[b].copy(), *series[b][:3], fiedler, summaries[b])
+        del disp, du, omega
 
 
 def run(scenario: Scenario) -> RunRecord:
@@ -316,29 +341,34 @@ def run(scenario: Scenario) -> RunRecord:
                                      scenario.controller)]))[1]
 
 
-def _summarize(b, metrics, disp_p, u_all, omega_all, f_hz, threshold):
-    """Summary of cell b of a batch; metrics are its convergence metrics of
-    the position and heading series, cells as columns (None: < 10 states)."""
+def _summarize(metrics, disp_p, du, omega, f_hz, threshold):
+    """Summaries of R cells at rates f_hz (R,) from their position residual
+    norms disp_p (T+1, R), |du| (R, T-1, N), omega (R, T, N) and metrics of
+    the position and heading series (None: < 10 states, empty summaries).
+    A mean sums a cell's contiguous block pairwise, as a lone cell's does."""
     if metrics is None:
-        return {}
-    mp, mpsi = ({key: val[b].item() for key, val in m.items()}
-                for m in metrics)
-    tail = max(mp["k_c"], disp_p.size // 2)
-    stable_rms_p = float(np.sqrt(np.mean(disp_p[tail:] ** 2)))
+        return [{} for _ in f_hz]
     # At least 9 commands per agent here, so no difference below is empty.
-    du = np.linalg.norm(np.diff(u_all, axis=0), axis=2)
-    dom = np.abs(np.diff(omega_all, axis=0))
-    return {
-        "t_cp": mp["t_c"], "t_cpsi": mpsi["t_c"],
-        "sigma_tp": mp["sigma_t"], "sigma_tpsi": mpsi["sigma_t"],
-        "mean_dv": float(du.mean()), "mean_domega": float(dom.mean()),
-        "a_p": float(du.mean() * f_hz),
-        "v_psi": float(np.abs(omega_all).mean()),
-        "stable_rms_p": stable_rms_p,
-        "converged": bool(mp["converged"]
-                          and (threshold == 0.0
-                               or stable_rms_p < threshold)),
-    }
+    mean_dv, mean_dom, v_psi = (
+        np.add.reduce(a.reshape(len(f_hz), -1), axis=1) / a[0].size
+        for a in (du, np.abs(np.diff(omega, axis=1)), np.abs(omega)))
+    rows = []
+    for b, f in enumerate(f_hz):
+        mp, mpsi = ({key: val[b].item() for key, val in m.items()}
+                    for m in metrics)
+        tail = max(mp["k_c"], len(disp_p) // 2)
+        stable_rms_p = float(np.sqrt(np.mean(disp_p[tail:, b] ** 2)))
+        rows.append({
+            "t_cp": mp["t_c"], "t_cpsi": mpsi["t_c"],
+            "sigma_tp": mp["sigma_t"], "sigma_tpsi": mpsi["sigma_t"],
+            "mean_dv": float(mean_dv[b]), "mean_domega": float(mean_dom[b]),
+            "a_p": float(mean_dv[b] * f), "v_psi": float(v_psi[b]),
+            "stable_rms_p": stable_rms_p,
+            "converged": bool(mp["converged"]
+                              and (threshold == 0.0
+                                   or stable_rms_p < threshold)),
+        })
+    return rows
 
 
 # --- builtin scenarios --------------------------------------------------------
@@ -403,8 +433,8 @@ def sweep(scenario: Scenario, rates, ells, n_seeds: int) -> list:
     rows = [None] * (len(cells) * n_seeds)
     for s in range(n_seeds):
         scen = replace(scenario, seed=scenario.seed + s)
-        for c, record in _records(scen, cells):
+        for c, summary in _records(scen, cells, history=False):
             spec, cfg = cells[c]
             rows[c * n_seeds + s] = {"rate_hz": spec.rate_hz, "ell": cfg.ell,
-                                     "seed": scen.seed, **record.summary}
+                                     "seed": scen.seed, **summary}
     return rows

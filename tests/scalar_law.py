@@ -10,7 +10,8 @@ edge arrays.
 
 It also keeps the vector forms that the package now evaluates on x, y, z
 planes: the rotation matrix ``rotz``, the (..., 3) rotation ``rotate_z``,
-and ``error_series``, the error series from vectors gathered per edge.
+``error_series``, the error series from vectors gathered per edge, and
+``add_at_commands``, the per-observer sums by ``np.add.at``.
 """
 
 import math
@@ -84,6 +85,25 @@ def error_series(positions, headings, desired, graph):
     weights = 1.0 / (deg[obs_i] * np.count_nonzero(deg))
     return (np.hypot(disp_p, disp_psi), np.linalg.norm(dp, axis=-1) @ weights,
             np.abs(dpsi) @ weights, disp_p, disp_psi)
+
+
+def plane_index(obs_i, n):
+    """The index (4, ..., E) of control.agent_commands for edges observed by
+    obs_i (..., E) among n agents: obs_i + plane * n."""
+    obs_i = np.asarray(obs_i)
+    return obs_i + n * np.arange(4).reshape((4,) + (1,) * obs_i.ndim)
+
+
+def add_at_commands(obs_i, pos_terms, ang_terms, n, cfg, dt):
+    """control.agent_commands in vector form: the terms (..., E, 3), (..., E)
+    added per observer obs_i (..., E) by np.add.at into zeroed (n, 3)
+    velocities and (n,) heading rates, in edge order."""
+    u = np.zeros((n, 3))
+    omega = np.zeros(n)
+    np.add.at(u, obs_i, pos_terms)
+    np.add.at(omega, obs_i, ang_terms)
+    cap = cfg.omega_cap / dt
+    return cfg.k_e * u, np.minimum(np.maximum(cfg.k_e * omega, -cap), cap)
 
 
 def full_matrix(entries) -> np.ndarray:

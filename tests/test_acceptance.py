@@ -33,7 +33,7 @@ from rigidflock.rigidity import (formation_error_stack,
                                  single_edge_m)
 from rigidflock.sensors import SensorSpec
 from rigidflock.sim import builtin_scenarios, run, sweep
-from scalar_law import Des, Meas, covariance_at, stack
+from scalar_law import Des, Meas, covariance_at, plane_index, stack
 
 
 def report(cid: str, ok: bool, detail: str):
@@ -239,11 +239,11 @@ def test_c8_half_ell_degeneracy_exact():
                               0.26 ** 2),
                          Des(rng.uniform(-8, 8, 3), rng.uniform(-3, 3))))
         p_m, psi_m, p_d, psi_d, cov, var_psi = stack(meas)
-        obs_i = np.zeros(len(meas), int)
-        r_u, r_omega = agent_commands(obs_i, *edge_terms(
+        index = plane_index(np.zeros(len(meas), int), 1)
+        r_u, r_omega = agent_commands(index, *edge_terms(
             p_m, psi_m, p_d, psi_d, cfg.quantile, cov,
             const=law_constants(p_d, var_psi)), 1, cfg, 0.1)
-        p_u, p_omega = agent_commands(obs_i, *edge_terms(
+        p_u, p_omega = agent_commands(index, *edge_terms(
             p_m, psi_m, p_d, psi_d, None), 1, cfg, 0.1)
         if np.array_equal(r_u, p_u) and np.array_equal(r_omega, p_omega):
             exact += 1

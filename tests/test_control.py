@@ -9,7 +9,7 @@ from rigidflock.control import (ControllerConfig, DELTA, agent_commands,
                                 edge_terms, law_constants)
 from rigidflock.core import std_normal_quantile, wrap_angle
 from scalar_law import (Des, Meas, _tau_psi1, approx_rotated_desired,
-                        bearing_sigma, clamp_dz, covariance_at,
+                        bearing_sigma, clamp_dz, covariance_at, plane_index,
                         restrained_bearing_term, rotz, setpoint_p1,
                         setpoint_p2, setpoint_psi2, stack)
 
@@ -41,7 +41,8 @@ def _command(pairs, cfg, dt=1.0, q=None):
     p_m, psi_m, p_d, psi_d, cov, var_psi = stack(pairs)
     terms = edge_terms(p_m, psi_m, p_d, psi_d, q, cov,
                        const=law_constants(p_d, var_psi))
-    u, omega = agent_commands(np.zeros(len(pairs), int), *terms, 1, cfg, dt)
+    u, omega = agent_commands(plane_index(np.zeros(len(pairs), int), 1),
+                              *terms, 1, cfg, dt)
     return u[0], omega[0]
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidflock.control import (ControllerConfig, _clamp, _inv_quad,
@@ -18,10 +18,11 @@ from rigidflock.rigidity import (is_positive_definite_minors, m_matrix,
 from rigidflock.sensors import (SensorSpec, covariance_sigmas,
                                 measurement_stream, position_covariance)
 from rigidflock.sim import (Scenario, _EdgeCache, _error_series, _records,
-                            init_state, run)
+                            init_state, run, sweep)
 from det_minors import det_minors
-from scalar_law import (Des, Meas, approx_rotated_desired, full_matrix,
-                        restrained_edge_terms, rotate_z, rotz, stack)
+from scalar_law import (Des, Meas, add_at_commands, approx_rotated_desired,
+                        full_matrix, plane_index, restrained_edge_terms,
+                        rotate_z, rotz, stack)
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
 angle = st.floats(-3.1, 3.1, allow_nan=False)
@@ -143,9 +144,9 @@ def test_inv_quad_matches_solve_on_sensor_covariances(log_range, direction,
 def _both_laws(batch, cfg, dt=1.0):
     """(u, omega) of one observer over batch, proportional and restrained."""
     p_m, psi_m, p_d, psi_d, cov, var_psi = stack(batch)
-    obs_i = np.zeros(len(batch), int)
+    index = plane_index(np.zeros(len(batch), int), 1)
     const = law_constants(p_d, var_psi)
-    return [agent_commands(obs_i, *edge_terms(p_m, psi_m, p_d, psi_d, q, cov,
+    return [agent_commands(index, *edge_terms(p_m, psi_m, p_d, psi_d, q, cov,
                                               const), 1, cfg, dt)
             for q in (None, cfg.quantile)]
 
@@ -321,6 +322,90 @@ def test_batch_records_equal_lone_runs_bitwise(case):
             assert got.tobytes() == want.tobytes(), name
         assert repr(rec.summary) == repr(alone.summary)
     assert seen == set(range(len(cells)))
+
+
+# Edge terms the per-observer sums must add exactly as np.add.at does:
+# signed zeros, subnormals, values whose sums overflow, and values whose
+# sum rounds differently in another order.
+sum_term = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -2.5e-308,
+                     1e300, -1e300, 1.7e308, -1.7e308, 1.0, -1.0, 1.1e-16,
+                     0.1, 0.7, 1e16]),
+    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def observed_terms(draw):
+    """Observer rows (E,) or (R, E) of a random graph with unequal
+    out-degrees and one passive sink, the agent count, and edge terms."""
+    n = draw(st.integers(2, 6))
+    # agent n - 1 is observed and observes nobody
+    pairs = [(i, j) for i in range(n - 1) for j in range(n) if i != j]
+    obs_i = np.array(sorted(set(draw(st.lists(st.sampled_from(pairs))))
+                            | {(0, n - 1)}))[:, 0]
+    cells = draw(st.sampled_from([None, 1, 2, 3]))
+    shape = obs_i.shape if cells is None else (cells,) + obs_i.shape
+    agents = n if cells is None else cells * n
+    rows = np.arange(agents).reshape(shape[:-1] + (n,))[..., obs_i]
+    values = st.lists(sum_term, min_size=4 * rows.size, max_size=4 * rows.size)
+    terms = np.array(draw(values)).reshape(shape + (4,))
+    return rows, agents, terms[..., :3], terms[..., 3]
+
+
+@given(observed_terms(), st.floats(0.01, 10.0), st.floats(0.01, 1.0))
+def test_agent_commands_equal_add_at_oracle_bytewise(case, k_e, dt):
+    # one bincount over x, y, z and heading planes adds each observer's
+    # terms into +0.0 in edge order, as np.add.at into zeros does
+    rows, n, pos, ang = case
+    cfg = ControllerConfig(k_e=k_e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = agent_commands(plane_index(rows, n), pos, ang, n, cfg, dt)
+        want = add_at_commands(rows, pos, ang, n, cfg, dt)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def sweep_grids(draw):
+    """A scenario on a random connected graph that may have a passive sink,
+    horizons 0..30, and a rate x ell grid of 1..3 seeds."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    spine = [(i + d, i + 1 - d) for i in range(n - 2) for d in (0, 1)]
+    sink = draw(st.booleans())
+    # with a sink, agent n - 1 is observed by agent n - 2 and observes nobody
+    last = [(n - 2, n - 1)] + ([] if sink else [(n - 1, n - 2)])
+    graph = ObservationGraph.from_pairs(n, spine + last + [
+        (i, j) for i, j in draw(st.lists(st.sampled_from(pairs), unique=True))
+        if not (sink and i == n - 1)])
+    scen = Scenario(desired=tuple(AgentPose([5.0 * a, draw(coord), 0.0],
+                                            draw(angle)) for a in range(n)),
+                    graph=graph, horizon_steps=draw(st.integers(0, 30)),
+                    seed=draw(st.integers(0, 2 ** 63)))
+    rates = draw(st.lists(st.floats(1.0, 200.0), min_size=1, max_size=3,
+                          unique=True))
+    ells = draw(st.lists(st.one_of(st.just(0.5), st.floats(0.01, 0.5)),
+                         min_size=1, max_size=3, unique=True))
+    return scen, rates, ells, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60)
+@given(sweep_grids())
+def test_sweep_rows_equal_runs_of_their_cells(case):
+    # rows come from the step's own relative poses, with no state history;
+    # each equals the summary of run() of its cell, which takes its
+    # residuals from the recorded states afterwards
+    scen, rates, ells, n_seeds = case
+    rows = sweep(scen, rates, ells, n_seeds)
+    assert len(rows) == len(rates) * len(ells) * n_seeds
+    for row in rows:
+        alone = run(replace(
+            scen, seed=row["seed"],
+            sensor=replace(scen.sensor, rate_hz=row["rate_hz"]),
+            controller=replace(scen.controller, ell=row["ell"])))
+        assert repr(row) == repr({key: row[key] for key in (
+            "rate_hz", "ell", "seed")} | alone.summary)
 
 
 @st.composite

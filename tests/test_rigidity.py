@@ -15,6 +15,7 @@ from rigidflock.rigidity import (assemble_m_blockwise, fec_raw_commands,
                                  lyapunov_rate, m_matrix, rigidity_local,
                                  rigidity_world, single_edge_m,
                                  stacked_local_action)
+from scalar_law import plane_index
 
 
 def random_poses(rng, n, box=8.0):
@@ -123,7 +124,8 @@ def test_closed_form_matches_controller_on_mutual_graph():
         obs_i, obs_j = g.edge_index()
         p_m, psi_m = relative_poses(*pose_arrays(poses), obs_i, obs_j)
         p_d, psi_d = relative_poses(*pose_arrays(desired), obs_i, obs_j)
-        u, omega = agent_commands(obs_i, *edge_terms(p_m, psi_m, p_d, psi_d),
+        u, omega = agent_commands(plane_index(obs_i, n),
+                                  *edge_terms(p_m, psi_m, p_d, psi_d),
                                   n, cfg, dt=1.0)
         assert np.allclose(u, raw[:, :3], atol=1e-10)
         assert np.allclose(omega, raw[:, 3], rtol=0.0, atol=1e-10)

@@ -9,6 +9,7 @@ import pytest
 from rigidflock.control import ControllerConfig
 from rigidflock.core import AgentPose, wrap_angle
 from rigidflock.graphs import ObservationGraph, fiedler_value, is_connected
+from rigidflock import sim
 from rigidflock.sensors import SensorSpec
 from rigidflock.sim import (Scenario, ScenarioError, _EdgeCache,
                             _error_series, builtin_scenarios, formation_error,
@@ -26,7 +27,7 @@ def cell_steps(scen, positions, headings, cache=None):
     q = None if cfg.ell == 0.5 else np.array([[cfg.quantile]])
     positions, headings = positions[None], headings[None]
     for k in range(scen.horizon_steps):
-        positions, headings, _, _ = step(positions, headings, noise[k], dt,
+        positions, headings, *_ = step(positions, headings, noise[k], dt,
                                          q, scen, cache, k)
         yield positions[0], headings[0]
 
@@ -153,6 +154,22 @@ def test_error_series_equal_vector_form_bitwise(name, steps):
                         _EdgeCache(scen.desired, scen.graph))
     for a, b in zip(got + (rec.e_f, rec.e_p, rec.e_psi), want + want[:3]):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ("pair", "triangle3", "triangle6",
+                                  "triangle6_sparse"))
+def test_summary_means_equal_vector_form_bitwise(name):
+    # the batched means over per-cell blocks against a lone record's
+    # (T - 1, N) and (T, N) means of its commands
+    scen = next(s for s in builtin_scenarios(seed=3) if s.name == name)
+    rec = run(dataclasses.replace(
+        scen, horizon_steps=150,
+        controller=dataclasses.replace(scen.controller, ell=0.2)))
+    du = np.linalg.norm(np.diff(rec.u, axis=0), axis=2).mean()
+    want = {"mean_dv": float(du), "a_p": float(du * scen.sensor.rate_hz),
+            "mean_domega": float(np.abs(np.diff(rec.omega, axis=0)).mean()),
+            "v_psi": float(np.abs(rec.omega).mean())}
+    assert repr({key: rec.summary[key] for key in want}) == repr(want)
 
 
 def test_se2_invariance_of_error_series():
@@ -342,3 +359,53 @@ def test_heading_loop_gain_sums_each_observers_desired_offsets():
     scen = Scenario(desired, graph, ControllerConfig(k_e=0.5),
                     SensorSpec(rate_hz=20.0))
     assert heading_loop_gain(scen) == 0.5 / 20.0 * 5.0
+
+
+def _raised(call, *args):
+    """The type and message of what call(*args) raises."""
+    with np.errstate(all="ignore"), pytest.raises(Exception) as info:
+        call(*args)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("name, k_e, steps, want", (
+    # 1e200 m apart, or a desired pose 1e155 m off: the start's e_F
+    ("pair", None, 3, "non-finite e_F at step 0"),
+    ("far", None, 3, "non-finite e_F at step 0"),
+    # an unstable gain: the last state's e_F, an inner state's e_F, then
+    # the measurement that overflows
+    ("triangle3", 6.0, 369, "non-finite e_F at step 369"),
+    ("triangle3", 5.5, 424, "non-finite e_F at step 423"),
+    ("triangle3", 6.0, 370, "non-finite measurements at step 370"),
+))
+def test_overflowing_cell_raises_the_same_through_sweep_and_run(
+        name, k_e, steps, want):
+    scen = pair_scenario(sensor=quiet_sensor(), horizon_steps=steps,
+                         init_radius=1e200)
+    if name == "far":
+        scen = dataclasses.replace(scen, init_radius=20.0, desired=(
+            AgentPose([0.0, 0.0, 0.0], 0.0),
+            AgentPose([1e155, 1e155, 0.0], 0.0)))
+    elif name == "triangle3":
+        scen = dataclasses.replace(builtin_scenarios()[1], horizon_steps=steps,
+                                   controller=ControllerConfig(k_e=k_e))
+    rows_error = _raised(sweep, scen, [scen.sensor.rate_hz],
+                         [scen.controller.ell], 1)
+    assert rows_error == _raised(run, scen) == (FloatingPointError, want)
+
+
+def test_restrained_triangle6_sweep_of_60_cells_steps_as_one_batch(
+        monkeypatch):
+    # a row retains 14 floats per cell-state, so 60 cells of 2001 states
+    # fit the batch bound, and the grid steps once per horizon step
+    shapes = []
+
+    def spy(positions, headings, z, dt, *args):
+        shapes.append(dt.shape)
+        return step(positions, headings, z, dt, *args)
+
+    monkeypatch.setattr(sim, "step", spy)
+    scen = builtin_scenarios()[2]
+    rows = sweep(scen, [10.0 * r for r in range(1, 21)], [0.05, 0.2, 0.35], 1)
+    assert len(rows) == 60 and scen.horizon_steps == 2000
+    assert shapes == [(60, 6)] * 2000
