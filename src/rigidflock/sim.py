@@ -5,16 +5,16 @@ a command from the latest measurements, then fly straight and rotate at a
 constant rate until the next sample. Ground truth is kept by the simulator
 and used only for error metrics, never by the controllers.
 
-One function, ``step``, advances a batch of cells that share a seed and
-differ in rate and ell (a run is a batch of one): it maps true poses to
-relative poses with ``core.relative_poses`` and evaluates the control law
-with ``control.edge_terms``, once over all edges of all cells. A property
-test checks the law against an independent scalar form. A run's error
-series (e_F, e_p, e_psi) come from its recorded history afterwards; a sweep
-records no states and takes its rows from the relative poses each step
-computes. A batch's metrics are one call per series, cells as columns.
-A run's noise is drawn once, from one stream per (seed, agent), and one
-(scenario, seed) pair always reproduces the same run bit for bit.
+One function, ``step``, advances one cell or a batch of cells that share a
+seed and differ in rate and ell: it maps true poses to relative poses with
+``core.relative_poses`` and evaluates the control law with
+``control.edge_terms``, once over all edges of all cells. A property test
+checks the law against an independent scalar form. A lone cell, a run or a
+sweep's only cell of a law branch, takes its error series from its states
+afterwards; a batch keeps no states and takes them from the relative poses
+each step computes, and its metrics are one call per series, cells as
+columns. A run's noise is drawn once, from one stream per (seed, agent),
+and one (scenario, seed) pair always reproduces the same run bit for bit.
 """
 
 from __future__ import annotations
@@ -258,14 +258,17 @@ def _error_series(positions, headings, cache: _EdgeCache):
             np.abs(dpsi) @ cache.weights, disp_p, disp_psi)
 
 
-def _records(scenario: Scenario, cells, history: bool = True):
-    """Yield (c, RunRecord) for each cell c = (sensor, controller) of cells,
-    all from the one start and noise that init_state draws for scenario;
-    without history, yield (c, summary) and record no states.
+def _records(scenario: Scenario, cells):
+    """Yield (c, summary, record) for each cell c = (sensor, controller) of
+    cells, all from the one start and noise that init_state draws for
+    scenario.
 
     Cells step together in batches of one law branch (ell = 0.5 takes the
-    proportional path); a lone cell steps without the cell axis, which
-    numpy would charge for at every step.
+    proportional path). A lone cell is a run: it steps without the cell
+    axis, which numpy would charge for at every step, keeps its states and
+    takes its series from them afterwards; its record is a RunRecord. A
+    batch keeps no states, takes its residual norms from the relative poses
+    its steps computed, and its records are None.
     """
     cache = _EdgeCache(scenario.desired, scenario.graph)
     positions0, headings0, noise = init_state(scenario)
@@ -273,11 +276,9 @@ def _records(scenario: Scenario, cells, history: bool = True):
     _error_series(positions0[None], headings0[None], cache)
     n, steps = scenario.graph.n, scenario.horizon_steps
     threshold = 0.5 * scenario.min_desired_distance()
-    fiedler = np.full(steps + 1, fiedler_value(scenario.graph)
-                      if n >= 2 else 0.0)
     # Batches retain at most 2^21 floats (16 MiB): per cell-state 2 residual
-    # norms, each agent's |du| and omega, and with history its states and u.
-    size = max(1, 2 ** 21 // ((2 + (9 if history else 2) * n) * (steps + 1)))
+    # norms, each agent's |du| and omega.
+    size = max(1, 2 ** 21 // ((2 + 2 * n) * (steps + 1)))
     branches = [[c for c, (_, cfg) in enumerate(cells)
                  if (cfg.ell == 0.5) == half] for half in (True, False)]
     for batch in (b[lo:lo + size] for b in branches
@@ -289,29 +290,27 @@ def _records(scenario: Scenario, cells, history: bool = True):
             [[cfg.quantile] for cfg in cfgs])
         if r == 1:
             dt, q = dt[0], q if q is None else q.item()
+            positions, headings, u = (np.empty(s) for s in (
+                (steps + 1, n, 3), (steps + 1, n), (steps, n, 3)))
+            positions[0], headings[0] = positions0, headings0
         pos, psi = (np.broadcast_to(a, dt.shape + a.shape[1:]).copy()
                     for a in (positions0, headings0))
         disp, omega = np.empty((2, steps + 1, r)), np.empty((r, steps, n))
         du = np.empty((r, max(steps - 1, 0), n))
-        if history:
-            positions = np.empty((steps + 1, r, n, 3))
-            headings = np.empty((steps + 1, r, n))
-            u = np.empty((steps, r, n, 3))
-            positions[0], headings[0] = positions0, headings0
         for k in range(steps):
             pos, psi, u_k, omega[:, k], p_rel, psi_rel = step(
                 pos, psi, noise[k], dt, q, scenario, cache, k)
-            if history:
+            if r == 1:
                 positions[k + 1], headings[k + 1], u[k] = pos, psi, u_k
             else:
                 disp[0, k], disp[1, k] = _residuals(p_rel, psi_rel, cache)[:2]
             if k:
                 du[:, k - 1] = np.sqrt(np.square(u_k - u_prev).sum(-1))
             u_prev = u_k
-        if history:
-            series = [_error_series(positions[:, b], headings[:, b], cache)
-                      for b in range(r)]
-            disp[:] = np.moveaxis([s[3:] for s in series], 0, -1)
+        if r == 1:
+            series = _error_series(positions, headings, cache)
+            disp[:, :, 0] = series[3:]
+            fiedler = fiedler_value(scenario.graph) if n >= 2 else 0.0
         else:
             disp[0, -1], disp[1, -1] = _residuals(*relative_poses(
                 pos, psi, cache.obs_i, cache.obs_j), cache)[:2]
@@ -320,11 +319,10 @@ def _records(scenario: Scenario, cells, history: bool = True):
         summaries = _summarize(None if steps < 9 else [
             convergence_metrics_1d(d, rates) for d in disp],
             disp[0], du, omega, rates, threshold)
-        # Copies, so no record keeps this batch alive into the next one.
-        for b, c in enumerate(batch):
-            yield c, summaries[b] if not history else RunRecord(
-                *(a[:, b].copy() for a in (positions, headings, u)),
-                omega[b].copy(), *series[b][:3], fiedler, summaries[b])
+        for c, summary in zip(batch, summaries):
+            yield c, summary, None if r > 1 else RunRecord(
+                positions, headings, u, omega[0], *series[:3],
+                np.full(steps + 1, fiedler), summary)
         del disp, du, omega
 
 
@@ -338,7 +336,7 @@ def run(scenario: Scenario) -> RunRecord:
     distance; chaotic non-converged runs sit orders of magnitude above it.
     """
     return next(_records(scenario, [(scenario.sensor,
-                                     scenario.controller)]))[1]
+                                     scenario.controller)]))[2]
 
 
 def _summarize(metrics, disp_p, du, omega, f_hz, threshold):
@@ -422,10 +420,10 @@ def sweep(scenario: Scenario, rates, ells, n_seeds: int) -> list:
     """Grid run over (rate, ell, seed); returns one summary row per cell.
 
     Seeds offset the scenario seed, so every (rate, ell) pair at a given
-    seed shares initial conditions and noise realizations, drawn once for
-    all cells of the seed, which step together. A row equals the summary of
-    run() of its cell bit for bit. Rows follow the grid order: rate, ell,
-    seed.
+    seed shares its start and noise, drawn once for all cells of the seed,
+    which step together. A lone cell takes its series from its states, a
+    batch from its steps; a row equals the summary of run() of its cell
+    bit for bit. Rows follow the grid order: rate, ell, seed.
     """
     cells = [(replace(scenario.sensor, rate_hz=f_hz),
               replace(scenario.controller, ell=ell))
@@ -433,7 +431,7 @@ def sweep(scenario: Scenario, rates, ells, n_seeds: int) -> list:
     rows = [None] * (len(cells) * n_seeds)
     for s in range(n_seeds):
         scen = replace(scenario, seed=scenario.seed + s)
-        for c, summary in _records(scen, cells, history=False):
+        for c, summary, _ in _records(scen, cells):
             spec, cfg = cells[c]
             rows[c * n_seeds + s] = {"rate_hz": spec.rate_hz, "ell": cfg.ell,
                                      "seed": scen.seed, **summary}

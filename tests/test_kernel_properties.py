@@ -17,8 +17,8 @@ from rigidflock.rigidity import (is_positive_definite_minors, m_matrix,
                                  rigidity_local, rigidity_world)
 from rigidflock.sensors import (SensorSpec, covariance_sigmas,
                                 measurement_stream, position_covariance)
-from rigidflock.sim import (Scenario, _EdgeCache, _error_series, _records,
-                            init_state, run, sweep)
+from rigidflock.sim import (Scenario, _EdgeCache, _error_series,
+                            init_state, run, step, sweep)
 from det_minors import det_minors
 from scalar_law import (Des, Meas, add_at_commands, approx_rotated_desired,
                         full_matrix, plane_index, restrained_edge_terms,
@@ -305,23 +305,34 @@ def sweep_cells(draw):
 
 
 @given(sweep_cells())
-def test_batch_records_equal_lone_runs_bitwise(case):
-    # the cells of one seed step together, one batch per law branch; each
-    # record equals a run() of its cell alone, which steps without the
-    # cell axis
+def test_batch_steps_equal_lone_runs_bitwise(case):
+    # the cells of one law branch step together through sim.step with the
+    # cell axis; every state, u and omega of each cell equals run() of the
+    # cell alone, which steps without it
     scen, cells = case
-    seen = set()
-    for c, rec in _records(scen, cells):
-        seen.add(c)
-        spec, cfg = cells[c]
-        alone = run(replace(scen, sensor=spec, controller=cfg))
-        for name in ("positions", "headings", "u", "omega", "e_f", "e_p",
-                     "e_psi", "fiedler"):
-            got, want = getattr(rec, name), getattr(alone, name)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
-        assert repr(rec.summary) == repr(alone.summary)
-    assert seen == set(range(len(cells)))
+    cache = _EdgeCache(scen.desired, scen.graph)
+    positions0, headings0, noise = init_state(scen)
+    for half in (True, False):
+        branch = [(spec, cfg) for spec, cfg in cells
+                  if (cfg.ell == 0.5) == half]
+        if not branch:
+            continue
+        alone = [run(replace(scen, sensor=spec, controller=cfg))
+                 for spec, cfg in branch]
+        dt = np.array([[1.0 / spec.rate_hz] * scen.graph.n
+                       for spec, _ in branch])
+        q = None if half else np.array([[cfg.quantile] for _, cfg in branch])
+        pos = np.broadcast_to(positions0, dt.shape + (3,)).copy()
+        psi = np.broadcast_to(headings0, dt.shape).copy()
+        for k in range(scen.horizon_steps):
+            pos, psi, u, omega, *_ = step(pos, psi, noise[k], dt, q, scen,
+                                          cache, k)
+            for b, rec in enumerate(alone):
+                for got, want in ((pos[b], rec.positions[k + 1]),
+                                  (psi[b], rec.headings[k + 1]),
+                                  (u[b], rec.u[k]), (omega[b], rec.omega[k])):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), k
 
 
 # Edge terms the per-observer sums must add exactly as np.add.at does:

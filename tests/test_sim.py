@@ -409,3 +409,21 @@ def test_restrained_triangle6_sweep_of_60_cells_steps_as_one_batch(
     rows = sweep(scen, [10.0 * r for r in range(1, 21)], [0.05, 0.2, 0.35], 1)
     assert len(rows) == 60 and scen.horizon_steps == 2000
     assert shapes == [(60, 6)] * 2000
+
+
+def test_sweep_of_lone_cells_takes_their_series_from_their_states(
+        monkeypatch):
+    # a cell alone on its law branch is a run: after the start check, its
+    # residuals come from one pass over its states, not one call per step
+    shapes = []
+
+    def spy(p_rel, psi_rel, cache):
+        shapes.append(p_rel.shape)
+        return residuals(p_rel, psi_rel, cache)
+
+    residuals = sim._residuals
+    monkeypatch.setattr(sim, "_residuals", spy)
+    scen = dataclasses.replace(builtin_scenarios()[1], horizon_steps=50)
+    rows = sweep(scen, [50.0], [0.2, 0.5], 1)
+    assert len(rows) == 2
+    assert shapes == [(1, 6, 3), (51, 6, 3), (51, 6, 3)]
