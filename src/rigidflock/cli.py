@@ -166,7 +166,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"missing field: {name}")
     desired = _field("agents", lambda agents: tuple(map(_agent, agents)),
                      data["agents"])
-    graph = _field("edges", lambda edges: ObservationGraph.from_pairs(
+    graph = _field("edges", lambda edges: ObservationGraph(
         len(desired), edges), data["edges"])
     scen = Scenario(
         desired=desired, graph=graph,

@@ -1,20 +1,32 @@
 """Directed observation topology and its connectivity metrics.
 
-An edge (i, j) means agent i observes agent j. Connectivity questions are
-asked of the undirected underlying graph (unit weights), which is also what
-the Laplacian and its Fiedler value are built on.
+An edge (i, j) means agent i observes agent j. The sorted edge index, built
+once, answers the structural queries; connectivity, the Laplacian and its
+Fiedler value are those of the undirected underlying graph (unit weights).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
+def _edge(pair) -> tuple:
+    """(i, j) of a pair of Python or numpy integers; a bool is no integer."""
+    try:
+        i, j = pair
+        if not isinstance(i, bool) and not isinstance(j, bool):
+            return operator.index(i), operator.index(j)
+    except (TypeError, ValueError):
+        pass
+    raise TypeError(f"edge {pair!r} is not a pair of integers")
+
+
 @dataclass(frozen=True)
 class ObservationGraph:
-    """Directed observation graph over ``n`` agents."""
+    """Directed graph over ``n`` agents from any iterable of edge pairs."""
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
@@ -22,62 +34,47 @@ class ObservationGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = frozenset((int(i), int(j)) for i, j in self.edges)
+        edges = frozenset(map(_edge, self.edges))
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop ({i}, {j}) is not allowed")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_index", np.array(
+            sorted(edges), dtype=int).reshape(-1, 2).T)
+        self._index.flags.writeable = False
 
     @classmethod
     def complete(cls, n: int) -> "ObservationGraph":
         """Fully connected graph with mutual observations."""
-        return cls(n, frozenset((i, j) for i in range(n) for j in range(n)
-                                if i != j))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "ObservationGraph":
-        return cls(n, frozenset((int(i), int(j)) for i, j in pairs))
+        return cls(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
     def sorted_edges(self) -> list:
         """Edges in lexicographic order; the canonical stacking order."""
         return sorted(self.edges)
 
     def edge_index(self):
-        """(observer, observed) index arrays over the sorted edges."""
-        return np.array(self.sorted_edges(), dtype=int).reshape(-1, 2).T
+        """Read-only (2, E) (observer, observed) index of sorted_edges()."""
+        return self._index
 
     def undirected_edges(self) -> set:
         return {(min(i, j), max(i, j)) for i, j in self.edges}
 
-    def out_degree(self, i: int) -> int:
-        return sum(1 for a, _ in self.edges if a == i)
-
-    def in_degree(self, j: int) -> int:
-        return sum(1 for _, b in self.edges if b == j)
-
 
 def is_connected(g: ObservationGraph) -> bool:
     """True iff the undirected underlying graph is connected."""
-    if g.n == 1:
-        return True
     adj = [[] for _ in range(g.n)]
     for i, j in g.edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
+    seen, stack = {0}, [0]
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
                 stack.append(w)
-    return count == g.n
+    return len(seen) == g.n
 
 
 def count_passive_sinks(g: ObservationGraph) -> int:
@@ -86,22 +83,16 @@ def count_passive_sinks(g: ObservationGraph) -> int:
     Such an agent is passive (it computes no control input). At most one is
     admissible in a distributable scenario; callers treat >1 as invalid.
     """
-    count = 0
-    for v in range(g.n):
-        if g.in_degree(v) >= 1 and g.out_degree(v) == 0:
-            count += 1
-    return count
+    out_deg, in_deg = (np.bincount(r, minlength=g.n) for r in g.edge_index())
+    return int(np.count_nonzero((in_deg > 0) & (out_deg == 0)))
 
 
 def laplacian(g: ObservationGraph) -> np.ndarray:
     """Unit-weight Laplacian of the undirected underlying graph."""
-    lap = np.zeros((g.n, g.n))
-    for i, j in g.undirected_edges():
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-    return lap
+    adj = np.zeros((g.n, g.n))
+    obs_i, obs_j = g.edge_index()
+    adj[obs_i, obs_j] = adj[obs_j, obs_i] = 1.0
+    return np.diag(adj.sum(axis=1)) - adj
 
 
 def fiedler_value(g: ObservationGraph) -> float:
@@ -137,8 +128,7 @@ def remove_random_edges_keep_connected(g: ObservationGraph, fraction: float,
             break
         a, b = und[idx]
         trial = edges - {(a, b), (b, a)}
-        candidate = ObservationGraph(g.n, frozenset(trial))
-        if is_connected(candidate):
+        if is_connected(ObservationGraph(g.n, trial)):
             edges = trial
             removed += 1
-    return ObservationGraph(g.n, frozenset(edges))
+    return ObservationGraph(g.n, edges)

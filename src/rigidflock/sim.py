@@ -156,10 +156,11 @@ def init_state(scenario: Scenario):
     radius = scenario.init_radius * rng.uniform(0.0, 1.0, n) ** (1.0 / 3.0)
     positions = direction * radius[:, None]
     headings = wrap_angle(rng.uniform(-math.pi, math.pi, n))
+    degrees = np.bincount(scenario.graph.edge_index()[0], minlength=n)
     return positions, headings, np.concatenate(
         [measurement_stream(scenario.seed, a).standard_normal(
-            (scenario.horizon_steps, scenario.graph.out_degree(a), 4))
-         for a in range(n)], axis=1)
+            (scenario.horizon_steps, d, 4)) for a, d in enumerate(degrees)],
+        axis=1)
 
 
 class _EdgeCache:

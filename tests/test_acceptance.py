@@ -143,7 +143,7 @@ def _random_connected(rng, n):
     while True:
         pairs = {(i, j) for i in range(n) for j in range(n)
                  if i != j and rng.random() < 0.5}
-        g = ObservationGraph.from_pairs(n, pairs)
+        g = ObservationGraph(n, pairs)
         if g.edges and is_connected(g):
             return g
 

@@ -407,6 +407,13 @@ class RawJSON(str):
     ("sim4d", dict(MINIMAL, sensor={"rate_hz": math.inf}), "rate_hz"),
     ("sim1d", {"k_ef": 0.5, "sigma_m": math.nan}, "sigma_m"),
     ("sim1d", {"k_ef": 0.5, "horizon": 5}, "horizon"),
+    # an edge is a pair of JSON integers, none of these is the edge (0, 1)
+    pytest.param("sim4d", RawJSON(json.dumps(MINIMAL).replace(
+        '"edges": [[0, 1]', '"edges": [[0, 1e400]')), "edges",
+                 id="sim4d-edges_1e400-edges"),
+    ("sim4d", dict(MINIMAL, edges=[["0", "1"], [1, 0]]), "edges"),
+    ("sim4d", dict(MINIMAL, edges=[[0, 1.7], [1, 0]]), "edges"),
+    ("sim4d", dict(MINIMAL, edges=[[0, True], [1, 0]]), "edges"),
 ])
 def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
                                             config, field):

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
-                               fiedler_value, is_connected,
+                               fiedler_value, is_connected, laplacian,
                                remove_random_edges_keep_connected)
+import graph_loops
 
 
 def g(n, *pairs):
-    return ObservationGraph.from_pairs(n, pairs)
+    return ObservationGraph(n, pairs)
 
 
 def test_validation():
@@ -19,6 +22,14 @@ def test_validation():
         g(2, (0, 5))
     with pytest.raises(ValueError):
         ObservationGraph(0)
+    # edges are pairs of integers: no bool, float, string or other length
+    for pair in ((0, True), (0, 1.0), ("0", "1"), (0, 1, 2), (np.True_, 1)):
+        with pytest.raises(TypeError, match="not a pair of integers"):
+            g(2, pair)
+    # numpy integers count, and any iterable is read once
+    want = g(3, (0, 1), (2, 1))
+    assert ObservationGraph(3, np.array([[0, 1], [2, 1]])) == want
+    assert ObservationGraph(3, (e for e in [(2, 1), (0, 1)])) == want
 
 
 def test_is_connected():
@@ -52,7 +63,7 @@ def test_fiedler_positive_iff_connected():
         n = int(rng.integers(2, 9))
         pairs = [(i, j) for i in range(n) for j in range(n)
                  if i != j and rng.random() < 0.3]
-        graph = ObservationGraph.from_pairs(n, pairs)
+        graph = ObservationGraph(n, pairs)
         fied = fiedler_value(graph)
         if is_connected(graph):
             assert fied > 1e-9
@@ -108,3 +119,30 @@ def test_remove_edges_requires_connected_input():
     with pytest.raises(ValueError):
         remove_random_edges_keep_connected(
             g(4, (0, 1), (2, 3)), 0.5, np.random.default_rng(0))
+
+
+@st.composite
+def digraph(draw):
+    """A random digraph on 1..9 vertices, possibly empty, with agent 0
+    forced to be a passive sink on request."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True))
+                if pairs else [])
+    if n > 1 and draw(st.booleans()):
+        edges = {(i, j) for i, j in edges if i != 0} | {(1, 0)}
+    return ObservationGraph(n, edges)
+
+
+@given(digraph())
+def test_edge_index_answers_structural_queries(graph):
+    index = graph.edge_index()
+    want = np.array(sorted(graph.edges), dtype=int).reshape(-1, 2).T
+    assert index.dtype == want.dtype and np.array_equal(index, want)
+    assert graph.edge_index() is index and not index.flags.writeable
+    assert (count_passive_sinks(graph)
+            == graph_loops.count_passive_sinks(graph))
+    assert laplacian(graph).tobytes() == graph_loops.laplacian(graph).tobytes()
+    # init_state's per-agent noise block sizes
+    assert np.bincount(index[0], minlength=graph.n).tolist() == [
+        graph_loops.observations_by(graph, a) for a in range(graph.n)]

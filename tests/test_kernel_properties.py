@@ -20,6 +20,7 @@ from rigidflock.sensors import (SensorSpec, covariance_sigmas,
 from rigidflock.sim import (Scenario, _EdgeCache, _error_series,
                             init_state, run, step, sweep)
 from det_minors import det_minors
+from graph_loops import observations_by
 from scalar_law import (Des, Meas, add_at_commands, approx_rotated_desired,
                         full_matrix, plane_index, restrained_edge_terms,
                         rotate_z, rotz, stack)
@@ -204,7 +205,7 @@ def formation(draw):
     psi = np.array(draw(st.lists(angle, min_size=n * (t + 1),
                                  max_size=n * (t + 1)))).reshape(t + 1, n)
     desired = tuple(AgentPose(pos[0, a], psi[0, a]) for a in range(n))
-    return desired, ObservationGraph.from_pairs(n, edges), pos[1:], psi[1:]
+    return desired, ObservationGraph(n, edges), pos[1:], psi[1:]
 
 
 @given(formation())
@@ -261,7 +262,7 @@ def scenario(draw):
     """A valid scenario: random connected graph, horizon and seed."""
     n = draw(st.integers(1, 5))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    graph = ObservationGraph.from_pairs(n, draw(st.lists(
+    graph = ObservationGraph(n, draw(st.lists(
         st.sampled_from(pairs), unique=True)) if pairs else [])
     assume(is_connected(graph) and count_passive_sinks(graph) <= 1)
     return Scenario(desired=tuple(AgentPose([5.0 * a, 0.0, 0.0], 0.0)
@@ -277,7 +278,7 @@ def test_run_noise_equals_per_step_draws_bitwise(scen):
     noise = init_state(scen)[2]
     n = scen.graph.n
     streams = [measurement_stream(scen.seed, a) for a in range(n)]
-    degrees = [scen.graph.out_degree(a) for a in range(n)]
+    degrees = [observations_by(scen.graph, a) for a in range(n)]
     assert noise.shape == (scen.horizon_steps, len(scen.graph.edges), 4)
     for k in range(scen.horizon_steps):
         want = np.concatenate([rng.standard_normal((d, 4))
@@ -292,7 +293,7 @@ def sweep_cells(draw):
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     # a mutual spine keeps the graph connected and free of passive sinks
     spine = [(i + d, i + 1 - d) for i in range(n - 1) for d in (0, 1)]
-    graph = ObservationGraph.from_pairs(n, spine + draw(st.lists(
+    graph = ObservationGraph(n, spine + draw(st.lists(
         st.sampled_from(pairs), unique=True)))
     scen = Scenario(desired=tuple(AgentPose([5.0 * a, draw(coord), 0.0],
                                             draw(angle)) for a in range(n)),
@@ -387,7 +388,7 @@ def sweep_grids(draw):
     sink = draw(st.booleans())
     # with a sink, agent n - 1 is observed by agent n - 2 and observes nobody
     last = [(n - 2, n - 1)] + ([] if sink else [(n - 1, n - 2)])
-    graph = ObservationGraph.from_pairs(n, spine + last + [
+    graph = ObservationGraph(n, spine + last + [
         (i, j) for i, j in draw(st.lists(st.sampled_from(pairs), unique=True))
         if not (sink and i == n - 1)])
     scen = Scenario(desired=tuple(AgentPose([5.0 * a, draw(coord), 0.0],
@@ -427,7 +428,7 @@ def connected_poses(draw):
     # a spine in drawn directions keeps the graph connected
     spine = [(i, i + 1) if draw(st.booleans()) else (i + 1, i)
              for i in range(n - 1)]
-    graph = ObservationGraph.from_pairs(n, spine + draw(st.lists(
+    graph = ObservationGraph(n, spine + draw(st.lists(
         st.sampled_from(pairs), unique=True)))
     pos = np.array(draw(st.lists(coord, min_size=3 * n, max_size=3 * n)))
     psi = draw(st.lists(angle, min_size=n, max_size=n))

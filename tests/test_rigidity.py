@@ -29,7 +29,7 @@ def random_connected_graph(rng, n):
         pairs = {(i, j) for i in range(n) for j in range(n)
                  if i != j and rng.random() < 0.45}
         pairs |= {(i, i + 1) for i in range(n - 1)}  # spine keeps it connected
-        g = ObservationGraph.from_pairs(n, pairs)
+        g = ObservationGraph(n, pairs)
         if is_connected(g):
             return g
 
@@ -39,7 +39,7 @@ def random_connected_graph(rng, n):
 
 def test_rigidity_world_single_edge_structure():
     poses = (AgentPose([0, 0, 0], 0.0), AgentPose([2, 1, 0.5], 0.0))
-    g = ObservationGraph.from_pairs(2, [(0, 1)])
+    g = ObservationGraph(2, [(0, 1)])
     h = rigidity_world(poses, g)
     assert h.shape == (4, 8)
     assert np.allclose(h[:3, 0:3], -np.eye(3))
@@ -83,7 +83,7 @@ def test_rigidity_world_finite_difference():
 
 def test_rigidity_local_band_structure():
     poses = (AgentPose([0, 0, 0], 0.0), AgentPose([3, 0, 0], 0.0))
-    g = ObservationGraph.from_pairs(2, [(0, 1)])
+    g = ObservationGraph(2, [(0, 1)])
     h = rigidity_local(poses, g)
     assert np.allclose(h[:3, 0:3], -np.eye(3))
     # zero relative heading: the observed agent's block is the identity
@@ -139,7 +139,7 @@ def test_single_edge_m_matches_product():
     for _ in range(50):
         p2 = rng.uniform(-6, 6, 3)
         poses = (AgentPose([0, 0, 0], 0.0), AgentPose(p2, 0.0))
-        g = ObservationGraph.from_pairs(2, [(0, 1)])
+        g = ObservationGraph(2, [(0, 1)])
         assert np.allclose(m_matrix(poses, g), single_edge_m(p2), atol=1e-12)
 
 
@@ -206,7 +206,7 @@ def test_minor_verdict_agrees_with_eigen_verdict():
 
 def pair_block(edge_a, edge_b, poses):
     """Block (a, b) of blockwise M on the graph of the two edges."""
-    g = ObservationGraph.from_pairs(len(poses), [edge_a, edge_b])
+    g = ObservationGraph(len(poses), [edge_a, edge_b])
     a, b = (g.sorted_edges().index(e) for e in (edge_a, edge_b))
     return assemble_m_blockwise(g, poses)[4 * a:4 * a + 4, 4 * b:4 * b + 4]
 
@@ -228,7 +228,7 @@ def test_e_ab_into_shared_vertex_identity_with_equal_headings():
 def test_e_ab_repeated_edge_is_diagonal_block_of_m():
     rng = np.random.default_rng(8)
     poses = random_poses(rng, 2)
-    g = ObservationGraph.from_pairs(2, [(0, 1)])
+    g = ObservationGraph(2, [(0, 1)])
     m = m_matrix(poses, g)
     assert np.allclose(pair_block((0, 1), (0, 1), poses), m, atol=1e-12)
 
@@ -256,7 +256,7 @@ def test_lyapunov_rate_zero_error():
 
 def test_lyapunov_rate_negative_for_single_edge():
     rng = np.random.default_rng(11)
-    g = ObservationGraph.from_pairs(2, [(0, 1)])
+    g = ObservationGraph(2, [(0, 1)])
     for _ in range(100):
         poses = (AgentPose([0, 0, 0], 0.0),
                  AgentPose(rng.uniform(-5, 5, 3), 0.0))
@@ -269,7 +269,7 @@ def test_lyapunov_rate_negative_for_single_edge():
 def test_formation_error_stack_wraps_headings():
     poses = (AgentPose([0, 0, 0], 3.0), AgentPose([1, 0, 0], -3.0))
     desired = (AgentPose([0, 0, 0], 0.0), AgentPose([1, 0, 0], 0.0))
-    g = ObservationGraph.from_pairs(2, [(0, 1)])
+    g = ObservationGraph(2, [(0, 1)])
     err = formation_error_stack(poses, desired, g)
     # psi_rel of poses is wrap(-6) ~ 0.283, not -6
     assert abs(err[3]) < math.pi

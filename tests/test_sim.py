@@ -47,7 +47,7 @@ def test_scenario_validation():
                AgentPose([0, 5, 0], 0.0))
     with pytest.raises(ScenarioError):  # two passive sinks
         Scenario(desired=desired,
-                 graph=ObservationGraph.from_pairs(3, [(0, 1), (0, 2)]))
+                 graph=ObservationGraph(3, [(0, 1), (0, 2)]))
     with pytest.raises(ScenarioError):  # disconnected
         Scenario(desired=(desired[0], desired[1]),
                  graph=ObservationGraph(2))
@@ -355,7 +355,7 @@ def test_heading_loop_gain_sums_each_observers_desired_offsets():
     # agent 0 observes 1 (|d|^2 = 1); agent 1 observes 0 and 2 (1 + 4);
     # agent 2 observes nobody
     desired = tuple(AgentPose([x, 0.0, 0.0], 0.0) for x in (0.0, 1.0, 3.0))
-    graph = ObservationGraph.from_pairs(3, [(0, 1), (1, 0), (1, 2)])
+    graph = ObservationGraph(3, [(0, 1), (1, 0), (1, 2)])
     scen = Scenario(desired, graph, ControllerConfig(k_e=0.5),
                     SensorSpec(rate_hz=20.0))
     assert heading_loop_gain(scen) == 0.5 / 20.0 * 5.0
