@@ -2,10 +2,11 @@
 
 Subcommands: ``analyze`` (closed-form predictions), ``sim1d`` (scalar
 ensemble), ``sim4d`` (full formation run), ``sweep`` (rate/ell/seed grid),
-``audit`` (rigidity and positive-definiteness checks). Configs are JSON,
-time series are CSV with a fixed column order and 17-significant-digit
-numbers, and every file-producing command writes a manifest next to its
-primary output so the run can be regenerated from the artifact alone.
+``audit`` (rigidity and positive-definiteness checks). Configs are JSON
+objects built straight into the config dataclasses, which check every
+field; time series are CSV with a fixed column order and 17-digit numbers,
+and every file-producing command writes a manifest next to its primary
+output so the run can be regenerated from the artifact alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .control import ControllerConfig
-from .core import AgentPose
+from .core import AgentPose, is_number
 from .graphs import ObservationGraph
 from .oned import (OneDConfig, conditional_variance_at_target,
                    convergence_metrics_1d, effective_gain,
@@ -92,7 +93,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "edges": [[i, j] for i, j in s.graph.sorted_edges()],
         "controller": dataclasses.asdict(s.controller),
         "sensor": dataclasses.asdict(s.sensor),
-        "init_radius": s.init_radius,
+        "init_radius": float(s.init_radius),
         "horizon_steps": s.horizon_steps,
         "seed": s.seed,
     }
@@ -106,80 +107,34 @@ def _field(name: str, convert, value):
         raise ScenarioError(f"invalid field {name}: {exc}") from exc
 
 
-def _is_number(value) -> bool:
-    """A JSON number that is a finite double: not true/false (which
-    isinstance counts as ints), NaN, an infinity or an integer out of the
-    double range."""
-    try:
-        return (isinstance(value, (int, float))
-                and not isinstance(value, bool) and math.isfinite(value))
-    except OverflowError:
-        return False
-
-
-# JSON types accepted for the other annotated types of a dataclass field
-# (a float field takes _is_number); no field takes true/false, which
-# Python's isinstance counts as an int.
-_JSON_TYPES = {"int": int, "str": str}
-
-
-def _typed(cls, data, name: str) -> dict:
-    """The JSON object ``name``, its fields checked against cls's types."""
+def _config(cls, data, name: str, **given):
+    """cls(**data, **given) from the JSON object ``name``; the dataclass
+    checks each field, so a wrong type, an unknown or a missing one fails."""
     if not isinstance(data, dict):
         raise ScenarioError(f"invalid field {name}: expected an object, got "
                             f"{data!r}")
-    for f in dataclasses.fields(cls):
-        value = data.get(f.name)
-        if f.type == "float":
-            valid = _is_number(value)
-        else:
-            valid = not isinstance(value, bool) and isinstance(
-                value, _JSON_TYPES.get(f.type, object))
-        if f.name in data and not valid:
-            raise ScenarioError(f"invalid field {f.name} in {name}: expected "
-                                f"{f.type}, got {value!r}")
-    return data
-
-
-def _config(cls, data, name: str):
-    """cls(**data) from the JSON object ``name``; errors name the field."""
-    # An unknown or missing field fails here, and the TypeError names it.
-    return _field(name, lambda fields: cls(**fields),
-                  _typed(cls, data, name))
+    return _field(name, lambda fields: cls(**fields, **given), data)
 
 
 def _agent(a) -> AgentPose:
-    """A desired pose: ``p`` three JSON numbers, ``psi`` one (default 0)."""
-    p, psi = a["p"], a.get("psi", 0.0)
-    if not (isinstance(p, list) and len(p) == 3 and all(map(_is_number, p))
-            and _is_number(psi)):
-        raise TypeError(f"expected p: three numbers and psi: a number, got "
-                        f"{a!r}")
-    return AgentPose(p, psi)
+    """A desired pose; p is checked here, as np.asarray would take "5"."""
+    p = a["p"]
+    if not (isinstance(p, list) and len(p) == 3 and all(map(is_number, p))):
+        raise TypeError(f"expected p: three numbers, got {a!r}")
+    return AgentPose(p, a.get("psi", 0.0))
 
 
-def scenario_from_dict(data: dict) -> Scenario:
+def scenario_from_dict(data) -> Scenario:
     """Build and validate a Scenario, naming the offending field on error."""
-    data = _typed(Scenario, data, "scenario")
-    for name in ("agents", "edges"):
-        if name not in data:
-            raise ScenarioError(f"missing field: {name}")
-    desired = _field("agents", lambda agents: tuple(map(_agent, agents)),
-                     data["agents"])
-    graph = _field("edges", lambda edges: ObservationGraph(
-        len(desired), edges), data["edges"])
-    scen = Scenario(
-        desired=desired, graph=graph,
-        controller=_config(ControllerConfig, data.get("controller", {}),
-                           "controller"),
-        sensor=_config(SensorSpec, data.get("sensor", {}), "sensor"),
-        init_radius=float(data.get("init_radius", 20.0)),
-        horizon_steps=data.get("horizon_steps", 2000),
-        seed=data.get("seed", 0), name=data.get("name", "scenario"))
-    unknown = sorted(set(data) - set(scenario_to_dict(scen)))
-    if unknown:
-        raise ScenarioError(f"unknown field: {', '.join(unknown)}")
-    return scen
+    data = _config(dict, data, "scenario")  # a copy; its parts are popped
+    desired = _field("agents", lambda d: tuple(map(_agent, d.pop("agents"))),
+                     data)
+    graph = _field("edges", lambda d: ObservationGraph(len(desired),
+                                                      d.pop("edges")), data)
+    parts = {name: _config(cls, data.pop(name, {}), name) for name, cls in
+             (("controller", ControllerConfig), ("sensor", SensorSpec))}
+    return _config(Scenario, data, "scenario", desired=desired, graph=graph,
+                   **parts)
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -193,8 +148,7 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError(f"unknown builtin scenario {key!r}; "
                             f"available: {names}")
     with open(path) as fh:
-        data = json.load(fh)
-    return scenario_from_dict(data)
+        return scenario_from_dict(json.load(fh))
 
 
 # --- subcommands --------------------------------------------------------------
@@ -419,8 +373,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    except (ScenarioError, ValueError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # bad input
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

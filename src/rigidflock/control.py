@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import planes, std_normal_quantile, turn, vectors, wrap_angle
+from .core import (check_fields, planes, std_normal_quantile, turn, vectors,
+                   wrap_angle)
 
 # Floor used wherever a covariance eigenvalue must stay positive (m^2 scale
 # 1e-8), far below any realistic sensor noise and far above double rounding.
@@ -52,6 +53,7 @@ class ControllerConfig:
     omega_cap: float = math.pi
 
     def __post_init__(self):
+        check_fields(self)
         if self.k_e <= 0.0:
             raise ValueError("k_e must be positive")
         if not 0.0 < self.ell <= 0.5:

@@ -1,16 +1,16 @@
-"""Shared geometric and statistical primitives.
+"""Shared geometric and statistical primitives, all pure and stateless.
 
 Wrapped angles on the half-open interval (-pi, pi], x, y, z planes of
-vectors and their rotation about the z axis, the agent pose container, the
-stacked relative-pose map, and the standard normal CDF and its inverse from
-the standard library. Everything here is pure and stateless.
+vectors and their rotation about the z axis, the field check of every
+config dataclass, the agent pose container, the stacked relative-pose map,
+and the standard normal CDF and its inverse from the standard library.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -74,6 +74,28 @@ def _axes(n: int):
     return (n - 1, *range(n - 1)), (*range(1, n), 0)
 
 
+def is_number(value) -> bool:
+    """A Python or numpy real, not a bool, that is a finite double."""
+    try:
+        return (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+_KINDS = {"float": is_number, "str": lambda v: isinstance(v, str),
+          "int": lambda v: isinstance(v, (int, np.integer))}
+
+
+def check_fields(obj):
+    """Raise ValueError naming the first float, int or str field of the
+    dataclass obj that holds a bool or no finite number, integer or string."""
+    for f in fields(obj):
+        value, test = getattr(obj, f.name), _KINDS.get(f.type)
+        if test and (isinstance(value, bool) or not test(value)):
+            raise ValueError(f"{f.name} is not a valid {f.type}: {value!r}")
+
+
 @dataclass(frozen=True)
 class AgentPose:
     """World pose of one agent: position p (m) and heading psi (rad).
@@ -87,6 +109,7 @@ class AgentPose:
     psi: float
 
     def __post_init__(self):
+        check_fields(self)
         p = np.asarray(self.p, dtype=float).reshape(3)
         if not np.all(np.isfinite(p)):
             raise ValueError("position must be finite")

@@ -64,8 +64,13 @@ class ObservationGraph:
 
 def is_connected(g: ObservationGraph) -> bool:
     """True iff the undirected underlying graph is connected."""
-    adj = [[] for _ in range(g.n)]
-    for i, j in g.edges:
+    return _connected(g.n, g.edges)
+
+
+def _connected(n: int, edges) -> bool:
+    """True iff the undirected graph of edges over n vertices is connected."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     seen, stack = {0}, [0]
@@ -74,7 +79,7 @@ def is_connected(g: ObservationGraph) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == g.n
+    return len(seen) == n
 
 
 def count_passive_sinks(g: ObservationGraph) -> int:
@@ -128,7 +133,7 @@ def remove_random_edges_keep_connected(g: ObservationGraph, fraction: float,
             break
         a, b = und[idx]
         trial = edges - {(a, b), (b, a)}
-        if is_connected(ObservationGraph(g.n, trial)):
+        if _connected(g.n, trial):
             edges = trial
             removed += 1
     return ObservationGraph(g.n, edges)

@@ -16,11 +16,11 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import TAU, std_normal_cdf, std_normal_quantile
+from .core import TAU, check_fields, std_normal_cdf, std_normal_quantile
 
 # Empirical variance-reduction exponent beta(k_ef), tabulated at five gains;
 # linear interpolation in between, error outside the tabulated range.
@@ -55,9 +55,7 @@ class OneDConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        check_fields(self)
         # Gains at or beyond 2 are simulable (they diverge); the closed-form
         # predictions validate their own (0, 2) domain.
         if self.k_ef <= 0.0:
@@ -66,6 +64,8 @@ class OneDConfig:
             raise ValueError("ell must lie in (0, 0.5]")
         if self.sigma_m < 0.0:
             raise ValueError("sigma_m must be >= 0")
+        if self.f <= 0.0:
+            raise ValueError("f must be positive")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if self.horizon < 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import DELTA
-from .core import planes, vectors
+from .core import check_fields, planes, vectors
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,12 @@ class SensorSpec:
     rate_hz: float = 10.0
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.dist_frac_sigma, self.bearing_sigma,
                self.heading_sigma) < 0.0:
             raise ValueError("noise magnitudes must be >= 0")
-        if not 0.0 < self.rate_hz < np.inf:
-            raise ValueError("rate_hz must be positive and finite")
+        if self.rate_hz <= 0.0:
+            raise ValueError("rate_hz must be positive")
 
 
 def covariance_sigmas(distance, spec: SensorSpec):

@@ -26,8 +26,8 @@ import numpy as np
 
 from .control import (ControllerConfig, agent_commands, edge_terms,
                       law_constants)
-from .core import (AgentPose, planes, pose_arrays, relative_poses, turn,
-                   vectors, wrap_angle)
+from .core import (AgentPose, check_fields, planes, pose_arrays,
+                   relative_poses, turn, vectors, wrap_angle)
 from .graphs import ObservationGraph, count_passive_sinks, fiedler_value, \
     is_connected, remove_random_edges_keep_connected
 from .oned import convergence_metrics_1d
@@ -58,6 +58,7 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "desired", tuple(self.desired))
         self.validate()
 

@@ -414,6 +414,9 @@ class RawJSON(str):
     ("sim4d", dict(MINIMAL, edges=[["0", "1"], [1, 0]]), "edges"),
     ("sim4d", dict(MINIMAL, edges=[[0, 1.7], [1, 0]]), "edges"),
     ("sim4d", dict(MINIMAL, edges=[[0, True], [1, 0]]), "edges"),
+    # a measurement rate that is not positive: t_c would be inf or < 0
+    ("sim1d", {"k_ef": 0.5, "n_agents": 50, "horizon": 20, "f": 0}, "f"),
+    ("sim1d", {"k_ef": 0.5, "n_agents": 50, "horizon": 20, "f": -10}, "f"),
 ])
 def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
                                             config, field):

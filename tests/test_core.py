@@ -1,14 +1,19 @@
 """Geometry and statistics primitives."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from rigidflock import ControllerConfig, OneDConfig, SensorSpec
 from rigidflock.core import (AgentPose, planes, pose_arrays, relative_poses,
                              std_normal_cdf, std_normal_quantile, turn,
                              vectors, wrap_angle)
+from rigidflock.sim import builtin_scenarios
 from scalar_law import rotz
 
 TAU = 2 * math.pi
@@ -126,6 +131,42 @@ def test_agent_pose_validation():
         AgentPose([np.nan, 0, 0], 0.0)
     # heading is wrapped at construction
     assert AgentPose([0, 0, 0], 3 * math.pi).psi == pytest.approx(math.pi)
+
+
+# One valid instance of each config dataclass, and (instance, field name) of
+# each of their fields annotated float and int.
+CONFIGS = (ControllerConfig(), SensorSpec(), OneDConfig(k_ef=0.5),
+           builtin_scenarios()[0], AgentPose([0.0, 0.0, 0.0], 0.0))
+FLOAT_FIELDS, INT_FIELDS = ([(c, f.name) for c in CONFIGS for f in fields(c)
+                             if f.type == kind] for kind in ("float", "int"))
+FLOATS, INTS = (float, np.float64, np.float32), (int, np.int64, np.int32)
+
+
+@given(st.sampled_from(FLOAT_FIELDS),
+       st.sampled_from([True, math.nan, math.inf, -math.inf, 10 ** 400, "1",
+                        [1]]))
+def test_bad_float_field_raises_naming_it(case, bad):
+    config, name = case
+    with pytest.raises(ValueError, match=f"^{name} is not a valid float"):
+        replace(config, **{name: bad})
+
+
+@given(st.sampled_from(INT_FIELDS), st.sampled_from([True, 1.5, "1"]))
+def test_bad_int_field_raises_naming_it(case, bad):
+    config, name = case
+    with pytest.raises(ValueError, match=f"^{name} is not a valid int"):
+        replace(config, **{name: bad})
+
+
+# An integer type goes into a float field whose valid value is integral.
+@given(st.sampled_from(
+    [(c, name, kind) for c, name in FLOAT_FIELDS for kind in FLOATS + INTS
+     if kind in FLOATS or float(getattr(c, name)).is_integer()]
+    + [(c, name, kind) for c, name in INT_FIELDS for kind in INTS]))
+def test_python_and_numpy_numbers_are_accepted(case):
+    config, name, kind = case
+    value = kind(getattr(config, name))
+    assert getattr(replace(config, **{name: value}), name) == value
 
 
 def test_std_normal_cdf_value_and_monotonicity():

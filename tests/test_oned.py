@@ -32,6 +32,13 @@ def cfg(**kw):
     return OneDConfig(**base)
 
 
+@pytest.mark.parametrize("f", [0.0, -10.0])
+def test_measurement_rate_must_be_positive(f):
+    # f = 0 divided by zero in the coherence time; f < 0 gave a negative one
+    with pytest.raises(ValueError, match="^f must be positive"):
+        cfg(f=f)
+
+
 # --- stepping ------------------------------------------------------------
 
 

@@ -42,6 +42,24 @@ def pair_scenario(**kw):
     return dataclasses.replace(base, **kw)
 
 
+@pytest.mark.parametrize("field, make", [
+    ("k_e", lambda s: dataclasses.replace(
+        s, controller=ControllerConfig(k_e=math.nan))),
+    ("dist_frac_sigma", lambda s: dataclasses.replace(
+        s, sensor=SensorSpec(dist_frac_sigma=math.nan))),
+    ("init_radius", lambda s: dataclasses.replace(s, init_radius=math.nan)),
+    ("k_e", lambda s: dataclasses.replace(
+        s, controller=ControllerConfig(k_e=True))),
+    ("seed", lambda s: dataclasses.replace(s, seed=True)),
+])
+def test_python_api_refuses_bad_config_before_any_step(field, make):
+    # what the CLI refuses as bad input: not a numerical failure at some
+    # step, nor a run to the end
+    scen = pair_scenario(horizon_steps=20)
+    with pytest.raises(ValueError, match=f"^{field} is not a valid"):
+        run(make(scen))
+
+
 def test_scenario_validation():
     desired = (AgentPose([0, 0, 0], 0.0), AgentPose([5, 0, 0], 0.0),
                AgentPose([0, 5, 0], 0.0))
