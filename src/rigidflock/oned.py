@@ -64,6 +64,8 @@ class OneDConfig:
             raise ValueError("ell must lie in (0, 0.5]")
         if self.sigma_m < 0.0:
             raise ValueError("sigma_m must be >= 0")
+        if self.sigma_init < 0.0:
+            raise ValueError("sigma_init must be >= 0")
         if self.f <= 0.0:
             raise ValueError("f must be positive")
         if self.n_agents < 1:

@@ -4,14 +4,13 @@ The stacked relative-pose map kappa takes all agent world poses to the
 stacked observed relative poses (4 rows per directed edge, edges in
 lexicographic order). Its Jacobian H is the rigidity matrix; k_e H^T applied
 to the formation error is the gradient-descent action the per-agent
-controller realizes. Every result here derives from one array of world-frame
-edge bands (`_bands`): H_world as a (4E, 4N) array, H_local = H_world
-blkdiag(R(psi_v), 1) by the chain rule, M = H H^T with its leading principal
-minors for positive-definiteness audits, M assembled blockwise from the
-bands' 4x4 edge-pair products, and the Lyapunov decay rate -2 k_e e^T M e.
-The positive-definiteness audit takes M's leading principal minors from one
-unpivoted LDL^T elimination pass; they run up to the first non-positive
-one, so a list shorter than 4E means "not PD".
+controller realizes. Every result here derives from H's per-vertex column
+blocks C_v = H[:, 4v:4v+4], one (N, 4E, 4) array (`_columns`): H_world is
+the (4E, 4N) matrix of them, H_local's blocks are C_v blkdiag(R(psi_v), 1)
+by the chain rule, and M = H H^T, also assembled as the sum of C_v C_v^T,
+with the Lyapunov decay rate -2 k_e e^T M e. The positive-definiteness
+audit takes M's leading principal minors from one unpivoted LDL^T pass; they
+run up to the first non-positive one, so fewer than 4E means "not PD".
 
 H vanishes on the four rigid motions (a common translation, and a common
 yaw about world z), so rank H <= 4N - 4 and M, which is 4E x 4E, can be
@@ -26,106 +25,106 @@ from .core import (SKEW_Z, planes, pose_arrays, relative_poses, turn,
                    vectors, wrap_angle)
 from .graphs import ObservationGraph
 
+_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1)  # observer, observed
+
 
 def _kappa(poses, graph: ObservationGraph):
-    """Relative poses (E, 3), (E,) of a pose sequence over sorted edges."""
-    return relative_poses(*pose_arrays(poses), *graph.edge_index())
+    """Headings (N,), then relative poses (E, 3), (E,) over sorted edges."""
+    positions, headings = pose_arrays(poses)
+    return headings, *relative_poses(positions, headings, *graph.edge_index())
 
 
 def kappa_stack(poses, graph: ObservationGraph) -> np.ndarray:
     """Stacked relative poses [p_ij; psi_ij] over sorted edges."""
-    p_rel, psi_rel = _kappa(poses, graph)
-    return np.column_stack([p_rel, psi_rel]).ravel()
+    return np.column_stack(_kappa(poses, graph)[1:]).ravel()
+
+
+def _error(kappa, kappa_d) -> np.ndarray:
+    """Stacked error kappa_d - kappa of _kappa results, headings wrapped."""
+    return np.column_stack([kappa_d[1] - kappa[1],
+                            wrap_angle(kappa_d[2] - kappa[2])]).ravel()
 
 
 def formation_error_stack(poses, desired, graph: ObservationGraph
                           ) -> np.ndarray:
     """Stacked error kappa(desired) - kappa(current), headings wrapped."""
-    err = (kappa_stack(desired, graph) - kappa_stack(poses, graph)
-           ).reshape(-1, 4)
-    err[:, 3] = wrap_angle(err[:, 3])
-    return err.ravel()
+    return _error(_kappa(poses, graph), _kappa(desired, graph))
 
 
-def _rotations(psi: np.ndarray) -> np.ndarray:
-    """R(psi) about z, (n, 3, 3) for angles (n,)."""
-    # turn of the basis vectors' planes gives R(psi) with the rows first
-    return turn(np.eye(3), psi[:, None]).swapaxes(0, 1)
+def _columns(kappa, graph: ObservationGraph):
+    """H's column blocks C_v = H[:, 4v:4v+4] (N, 4E, 4) and the body frames
+    blkdiag(R(psi_v), 1) (N, 4, 4), from one cos/sin of the headings.
 
-
-def _bands(poses, graph: ObservationGraph):
-    """obs_i, obs_j and the world-frame edge bands as (E, 2, 4, 4) blocks.
-
-    blocks[e, 0] holds band e's columns of its observer i, blocks[e, 1]
-    those of its observed agent j: -R(psi_i)^T and +R(psi_i)^T on the
-    positions, a heading row of -1 and +1, and S^T p_ij on the observer
-    heading.
+    Band e = (i, j) holds R(psi_i)^T on the positions and +1 on the heading
+    in C_j, and their negation in C_i, with S^T p_ij on i's heading column.
     """
-    positions, headings = pose_arrays(poses)
-    obs_i, obs_j = graph.edge_index()
-    p_rel, _ = relative_poses(positions, headings, obs_i, obs_j)
-    rot_t = _rotations(-headings[obs_i])
-    blocks = np.zeros((len(obs_i), 2, 4, 4))
-    blocks[:, 0, :3, :3] = -rot_t
-    blocks[:, 1, :3, :3] = rot_t
-    blocks[:, 0, :3, 3] = p_rel @ SKEW_Z  # rows (S^T p_ij)^T
-    blocks[:, :, 3, 3] = [-1.0, 1.0]
-    return obs_i, obs_j, blocks
+    headings, p_rel, _ = kappa
+    index = graph.edge_index()
+    cos, sin = np.cos(headings), np.sin(headings)
+    frames = np.zeros((graph.n, 4, 4))
+    frames[:, 0, 0] = frames[:, 1, 1] = cos
+    frames[:, 0, 1], frames[:, 1, 0] = -sin, sin
+    frames[:, 2, 2] = frames[:, 3, 3] = 1.0
+    pair = frames[index[0]].swapaxes(1, 2) * _SIGNS  # band e in C_i, C_j
+    pair[0, :, :2, 3] = p_rel[:, 1::-1] * [1.0, -1.0]  # S^T p_ij
+    cols = np.zeros((graph.n, index.shape[1], 4, 4))
+    cols[index, np.arange(index.shape[1])] = pair
+    return cols.reshape(graph.n, -1, 4), frames
+
+
+def _matrix(cols) -> np.ndarray:
+    """The (4E, 4N) matrix of column blocks (N, 4E, 4)."""
+    return cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
 
 
 def rigidity_world(poses, graph: ObservationGraph) -> np.ndarray:
     """(4E, 4N) Jacobian of kappa for world-frame pose perturbations."""
-    obs_i, obs_j, blocks = _bands(poses, graph)
-    band = np.arange(len(obs_i))
-    h = np.zeros((len(band), 4, graph.n, 4))
-    h[band, :, obs_i] = blocks[:, 0]
-    h[band, :, obs_j] = blocks[:, 1]
-    return h.reshape(4 * len(band), 4 * graph.n)
+    return _matrix(_columns(_kappa(poses, graph), graph)[0])
 
 
 def rigidity_local(poses, graph: ObservationGraph) -> np.ndarray:
-    """(4E, 4N) Jacobian for body-frame pose perturbations.
+    """(4E, 4N) Jacobian for body-frame pose perturbations: a body-frame
+    step of agent v is R(psi_v) times a world-frame step."""
+    cols, frames = _columns(_kappa(poses, graph), graph)
+    return _matrix(cols @ frames)
 
-    A body-frame step of agent v is R(psi_v) times a world-frame step, so
-    H_local = H_world blkdiag(R(psi_v), 1).
-    """
-    _, headings = pose_arrays(poses)
-    v = np.arange(graph.n)
-    frames = np.zeros((graph.n, 4, graph.n, 4))
-    frames[v, :3, v, :3] = _rotations(headings)
-    frames[v, 3, v, 3] = 1.0
-    return rigidity_world(poses, graph) @ frames.reshape(4 * graph.n, -1)
+
+def _local_action(kappa, kappa_d, graph, k_e):
+    cols, frames = _columns(kappa, graph)
+    h = _matrix(cols @ frames)
+    return (k_e * h.T @ _error(kappa, kappa_d)).reshape(-1, 4)
 
 
 def stacked_local_action(poses, desired, graph: ObservationGraph,
                          k_e: float) -> np.ndarray:
     """Gradient action k_e H_local^T e, reshaped to (N, 4) body-frame rates."""
-    h = rigidity_local(poses, graph)
-    err = formation_error_stack(poses, desired, graph)
-    return (k_e * h.T @ err).reshape(-1, 4)
+    return _local_action(_kappa(poses, graph), _kappa(desired, graph), graph,
+                         k_e)
+
+
+def _raw_commands(kappa, kappa_d, graph, k_e):
+    _, p_ij, psi_ij = kappa
+    dp = p_ij - kappa_d[1]
+    dpsi = wrap_angle(psi_ij - kappa_d[2])
+    terms = np.empty((2, len(dpsi), 4))  # the observers' rows, the observed's
+    terms[0, :, :3], terms[1, :, :3] = dp, -vectors(turn(planes(dp), -psi_ij))
+    terms[0, :, 3] = -np.einsum("ei,ij,ej->e", p_ij, SKEW_Z, dp) + dpsi
+    terms[1, :, 3] = -dpsi
+    # one bincount adds them in this order into +0.0, as two np.add.at did
+    slots = 4 * graph.edge_index().reshape(-1, 1) + np.arange(4)
+    return k_e * np.bincount(slots.ravel(), weights=terms.ravel(),
+                             minlength=4 * graph.n).reshape(-1, 4)
 
 
 def fec_raw_commands(poses, desired, graph: ObservationGraph,
                      k_e: float) -> np.ndarray:
-    """Per-agent closed-form action using both edge directions.
-
-    Each edge (i, j) pushes its observer with the raw position error and its
-    observed agent with the rotated, negated error; the heading rate
-    collects -p_ij^T S (p_ij - p_ij^d) on the observer plus the heading
-    error with the sign of each endpoint. Returns (N, 4) rows
-    [u_i, omega_i] in body frames.
-    """
-    obs_i, obs_j = graph.edge_index()
-    p_ij, psi_ij = _kappa(poses, graph)
-    p_d, psi_d = _kappa(desired, graph)
-    dp = p_ij - p_d
-    dpsi = wrap_angle(psi_ij - psi_d)
-    out = np.zeros((graph.n, 4))
-    np.add.at(out, obs_i, np.column_stack([
-        dp, -np.einsum("ei,ij,ej->e", p_ij, SKEW_Z, dp) + dpsi]))
-    np.add.at(out, obs_j, -np.column_stack([
-        vectors(turn(planes(dp), -psi_ij)), dpsi]))
-    return k_e * out
+    """Per-agent closed-form action using both edge directions: (N, 4) rows
+    [u_i, omega_i] in body frames. Each edge (i, j) pushes its observer with
+    the raw position error and its observed agent with the rotated, negated
+    error; the heading rate collects -p_ij^T S (p_ij - p_ij^d) on the
+    observer plus the heading error with the sign of each endpoint."""
+    return _raw_commands(_kappa(poses, graph), _kappa(desired, graph), graph,
+                         k_e)
 
 
 def m_matrix(poses, graph: ObservationGraph) -> np.ndarray:
@@ -153,10 +152,10 @@ def is_positive_definite_minors(a: np.ndarray):
     n = a.shape[0]
     if n == 0:
         raise ValueError("matrix is empty")
-    if not np.isfinite(a).all():
+    scale = max(float(a.max()), -float(a.min()))  # nan or inf iff an entry is
+    if not np.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    scale = max(float(np.abs(a).max()), 1.0)
-    if np.abs(a - a.T).max() > 1e-9 * scale:
+    if (a - a.T).max() > 1e-9 * max(scale, 1.0):  # max |.| of a - a^T
         raise ValueError("matrix must be symmetric")
     schur = np.empty((n, n))  # column j: pivot j times column j of L
     pivots = schur.diagonal()
@@ -193,17 +192,17 @@ def single_edge_m(p12_world) -> np.ndarray:
 
 
 def assemble_m_blockwise(graph: ObservationGraph, poses) -> np.ndarray:
-    """M from its 4x4 edge-pair blocks, without forming H.
-
-    Block (a, b) is the sum over the vertices v that edges a and b share of
-    B_a,v B_b,v^T: zero for disjoint edges, the single-edge form on the
-    diagonal. All pairs are one einsum over the shared-vertex mask.
-    """
-    obs_i, obs_j, blocks = _bands(poses, graph)
-    ends = np.stack([obs_i, obs_j], axis=1)
-    shared = ends[:, :, None, None] == ends[None, None]
-    m = np.einsum("asbt,asij,btkj->aibk", shared, blocks, blocks)
-    return m.reshape(4 * len(ends), 4 * len(ends))
+    """M as the sum of C_v C_v^T over the rows of the bands at each v: block
+    (a, b) sums 4x4 products over the vertices edges a and b share, zero for
+    disjoint edges. No temporary is larger than M."""
+    cols, _ = _columns(_kappa(poses, graph), graph)
+    size = cols.shape[1]
+    m = np.zeros(size * size)
+    for c in cols:
+        rows = np.flatnonzero(c.any(axis=1))  # the bands at v
+        block = c[rows]
+        m[(rows[:, None] * size + rows).ravel()] += (block @ block.T).ravel()
+    return m.reshape(size, size)
 
 
 def lyapunov_rate(poses, graph: ObservationGraph, e_f: np.ndarray,
@@ -216,7 +215,7 @@ def lyapunov_rate(poses, graph: ObservationGraph, e_f: np.ndarray,
 
 def gradient_consistency_residual(poses, desired, graph: ObservationGraph,
                                   k_e: float = 0.5) -> float:
-    """Max |stacked action - per-agent closed form| over all agents."""
-    stacked = stacked_local_action(poses, desired, graph, k_e)
-    raw = fec_raw_commands(poses, desired, graph, k_e)
-    return float(np.abs(stacked - raw).max())
+    """Max |stacked action - per-agent closed form| over all agents, both
+    from one relative-pose pass per pose set."""
+    args = _kappa(poses, graph), _kappa(desired, graph), graph, k_e
+    return float(np.abs(_local_action(*args) - _raw_commands(*args)).max())

@@ -12,7 +12,9 @@ JSON object, keys sorted, of sha256 digests:
   branch;
 * per builtin, read from a scenario file: the CSV and summary of ``sim4d``,
   the CSV of a 3 x 3 x 2 ``sweep`` and the JSON that
-  ``audit --samples 20`` prints.
+  ``audit --samples 20`` prints;
+* per builtin, ``m_matrix`` and ``gradient_consistency_residual`` at the
+  desired formation and at 3 seeded random pose sets.
 
 ``--small`` keeps one seed and 30 steps. Two checkouts that print the same
 object reproduce each other bit for bit on this grid. Pytest does not
@@ -25,12 +27,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
 from rigidflock.cli import main, scenario_to_dict
+from rigidflock.core import AgentPose
+from rigidflock.rigidity import gradient_consistency_residual, m_matrix
 from rigidflock.sim import builtin_scenarios, run, sweep
 
 
@@ -104,6 +109,18 @@ def digests(small: bool) -> dict:
                     out[f"cli/{scen.name}/{name}"] = _sha(fh.read())
             out[f"cli/{scen.name}/audit"] = _sha(_cli(
                 ["audit", "--scenario", path, "--samples", "20"]).encode())
+    for seed, scen in enumerate(builtin_scenarios()):
+        rng = np.random.default_rng(seed)
+        sets = [scen.desired] + [
+            tuple(AgentPose(rng.uniform(-10, 10, 3),
+                            rng.uniform(-math.pi, math.pi))
+                  for _ in range(scen.graph.n)) for _ in range(3)]
+        for k, poses in enumerate(sets):
+            key = f"rigidity/{scen.name}/{'desired' if k == 0 else k}"
+            out[f"{key}/m_matrix"] = _digest(m_matrix(poses, scen.graph))
+            out[f"{key}/gradient_residual"] = _digest(
+                gradient_consistency_residual(poses, scen.desired, scen.graph,
+                                              scen.controller.k_e))
     return out
 
 

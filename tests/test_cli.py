@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -353,6 +354,14 @@ def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
 
 
+def named_fields(message):
+    """The names an ``invalid field <object>: <reason>`` message gives: the
+    object, the reason's first word and a quoted name that ends it."""
+    obj, reason = re.fullmatch(r"invalid field (\w+): (.*)", message,
+                               re.DOTALL).groups()
+    return {obj, reason.split(" ", 1)[0], *re.findall(r"'(\w+)'$", reason)}
+
+
 class RawJSON(str):
     """Config text written as given: a number json.dumps cannot spell."""
 
@@ -417,6 +426,7 @@ class RawJSON(str):
     # a measurement rate that is not positive: t_c would be inf or < 0
     ("sim1d", {"k_ef": 0.5, "n_agents": 50, "horizon": 20, "f": 0}, "f"),
     ("sim1d", {"k_ef": 0.5, "n_agents": 50, "horizon": 20, "f": -10}, "f"),
+    ("sim1d", {"k_ef": 0.5, "sigma_init": -5}, "sigma_init"),
 ])
 def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
                                             config, field):
@@ -426,7 +436,7 @@ def test_bad_config_exits_2_and_names_field(tmp_path, capsys, command,
     flag = "--config" if command == "sim1d" else "--scenario"
     rc = main([command, flag, str(path), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
-    assert field in json.loads(capsys.readouterr().err)["message"]
+    assert field in named_fields(json.loads(capsys.readouterr().err)["message"])
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -39,6 +39,13 @@ def test_measurement_rate_must_be_positive(f):
         cfg(f=f)
 
 
+def test_initial_spread_must_not_be_negative():
+    # a spread is a standard deviation; zero starts every agent at d
+    with pytest.raises(ValueError, match="^sigma_init must be >= 0"):
+        cfg(sigma_init=-5.0)
+    assert cfg(sigma_init=0.0).sigma_init == 0.0
+
+
 # --- stepping ------------------------------------------------------------
 
 

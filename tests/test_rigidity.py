@@ -1,12 +1,14 @@
 """Rigidity matrices, gradient consistency, positive-definiteness audits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rigidflock.control import ControllerConfig, agent_commands, edge_terms
-from rigidflock.core import AgentPose, pose_arrays, relative_poses, wrap_angle
+from rigidflock.core import (SKEW_Z, AgentPose, planes, pose_arrays,
+                             relative_poses, turn, vectors, wrap_angle)
 from rigidflock.graphs import ObservationGraph, is_connected
 from rigidflock.rigidity import (assemble_m_blockwise, fec_raw_commands,
                                  formation_error_stack,
@@ -131,6 +133,27 @@ def test_closed_form_matches_controller_on_mutual_graph():
         assert np.allclose(omega, raw[:, 3], rtol=0.0, atol=1e-10)
 
 
+def test_closed_form_sums_each_agent_in_edge_order():
+    # the reference: two np.add.at passes over the edges, the observers' rows
+    # first, then the observed agents'; the one bincount keeps their bits
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        g = random_connected_graph(rng, n)
+        poses, desired = random_poses(rng, n), random_poses(rng, n, box=4.0)
+        obs_i, obs_j = g.edge_index()
+        p_ij, psi_ij = relative_poses(*pose_arrays(poses), obs_i, obs_j)
+        p_d, psi_d = relative_poses(*pose_arrays(desired), obs_i, obs_j)
+        dp, dpsi = p_ij - p_d, wrap_angle(psi_ij - psi_d)
+        want = np.zeros((n, 4))
+        np.add.at(want, obs_i, np.column_stack([
+            dp, -np.einsum("ei,ij,ej->e", p_ij, SKEW_Z, dp) + dpsi]))
+        np.add.at(want, obs_j, -np.column_stack([
+            vectors(turn(planes(dp), -psi_ij)), dpsi]))
+        got = fec_raw_commands(poses, desired, g, 0.5)
+        assert got.tobytes() == (0.5 * want).tobytes()
+
+
 # --- M, minors, blocks --------------------------------------------------------
 
 
@@ -171,6 +194,15 @@ def test_minors_identity_and_rejections():
 def test_minors_reject_non_finite_entries(bad):
     with pytest.raises(ValueError, match="non-finite"):
         is_positive_definite_minors(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_minors_check_finiteness_before_symmetry():
+    # non-finite and non-symmetric: a - a^T would be inf - inf, a warning,
+    # so the abs-max pass must refuse the matrix first, and silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            is_positive_definite_minors([[math.inf, 1.0], [0.0, 1.0]])
 
 
 def test_minors_reject_empty_matrix():
