@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .control import ControllerConfig, agent_commands, edge_terms
 from .core import AgentPose, std_normal_cdf, std_normal_quantile, wrap_angle
 from .graphs import (ObservationGraph, count_passive_sinks, fiedler_value,
-                     is_connected, remove_random_edges_keep_connected)
+                     is_connected)
 from .oned import (OneDConfig, expected_coherence_time,
                    kl_divergence_gaussianity, run_1d_ensemble,
                    sigma_ss_proportional, sigma_ss_restrained)
@@ -29,8 +29,8 @@ __all__ = [
     "builtin_scenarios", "count_passive_sinks", "covariance_sigmas",
     "edge_terms", "expected_coherence_time", "fiedler_value",
     "formation_error", "heading_loop_gain", "is_connected",
-    "kl_divergence_gaussianity", "perturb", "position_covariance",
-    "remove_random_edges_keep_connected", "run", "run_1d_ensemble",
-    "sigma_ss_proportional", "sigma_ss_restrained", "std_normal_cdf",
-    "std_normal_quantile", "sweep", "wrap_angle", "__version__",
+    "kl_divergence_gaussianity", "perturb", "position_covariance", "run",
+    "run_1d_ensemble", "sigma_ss_proportional", "sigma_ss_restrained",
+    "std_normal_cdf", "std_normal_quantile", "sweep", "wrap_angle",
+    "__version__",
 ]

@@ -141,10 +141,11 @@ def parse_scenario(path: str) -> Scenario:
     """Load a scenario from a JSON file or a ``builtin:<name>`` reference."""
     if path.startswith("builtin:"):
         key = path.split(":", 1)[1]
-        for scen in builtin_scenarios():
+        scenarios = builtin_scenarios()
+        for scen in scenarios:
             if scen.name == key:
                 return scen
-        names = ", ".join(s.name for s in builtin_scenarios())
+        names = ", ".join(s.name for s in scenarios)
         raise ScenarioError(f"unknown builtin scenario {key!r}; "
                             f"available: {names}")
     with open(path) as fh:
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:  # bad input
+    except (ValueError, OSError) as exc:  # bad input
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

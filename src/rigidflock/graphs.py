@@ -58,19 +58,11 @@ class ObservationGraph:
         """Read-only (2, E) (observer, observed) index of sorted_edges()."""
         return self._index
 
-    def undirected_edges(self) -> set:
-        return {(min(i, j), max(i, j)) for i, j in self.edges}
-
 
 def is_connected(g: ObservationGraph) -> bool:
     """True iff the undirected underlying graph is connected."""
-    return _connected(g.n, g.edges)
-
-
-def _connected(n: int, edges) -> bool:
-    """True iff the undirected graph of edges over n vertices is connected."""
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
+    adj = [[] for _ in range(g.n)]
+    for i, j in g.edges:
         adj[i].append(j)
         adj[j].append(i)
     seen, stack = {0}, [0]
@@ -79,7 +71,7 @@ def _connected(n: int, edges) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == n
+    return len(seen) == g.n
 
 
 def count_passive_sinks(g: ObservationGraph) -> int:
@@ -105,35 +97,3 @@ def fiedler_value(g: ObservationGraph) -> float:
     if g.n < 2:
         raise ValueError("Fiedler value needs at least two vertices")
     return max(float(np.linalg.eigvalsh(laplacian(g))[1]), 0.0)
-
-
-def remove_random_edges_keep_connected(g: ObservationGraph, fraction: float,
-                                       rng: np.random.Generator
-                                       ) -> ObservationGraph:
-    """Remove ~``fraction`` of the undirected edge pairs, keeping connectivity.
-
-    Removal operates on bidirectional observation pairs (both directions go
-    at once) so no new passive sinks appear. A shuffled single pass is
-    maximal: once an edge is a bridge it stays one, so skipped edges can
-    never become removable later. Deterministic for a given generator state.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    und = sorted(g.undirected_edges())
-    target = int(fraction * len(und))
-    if target == 0:
-        return g
-    order = rng.permutation(len(und))
-    edges = set(g.edges)
-    removed = 0
-    for idx in order:
-        if removed == target:
-            break
-        a, b = und[idx]
-        trial = edges - {(a, b), (b, a)}
-        if _connected(g.n, trial):
-            edges = trial
-            removed += 1
-    return ObservationGraph(g.n, edges)

@@ -28,8 +28,8 @@ from .control import (ControllerConfig, agent_commands, edge_terms,
                       law_constants)
 from .core import (AgentPose, check_fields, planes, pose_arrays,
                    relative_poses, turn, vectors, wrap_angle)
-from .graphs import ObservationGraph, count_passive_sinks, fiedler_value, \
-    is_connected, remove_random_edges_keep_connected
+from .graphs import (ObservationGraph, count_passive_sinks, fiedler_value,
+                     is_connected)
 from .oned import convergence_metrics_1d
 from .sensors import (SensorSpec, covariance_sigmas, init_stream,
                       measurement_stream, perturb, position_covariance)
@@ -386,8 +386,7 @@ def builtin_scenarios(seed: int = 0) -> list:
     Two mutual agents 5 m apart; an equilateral triangle of side 5 m; six
     agents on a flat triangle (three vertices of side 10 m plus the three
     side midpoints, closest pair 5 m) fully connected; the same six agents
-    with half of the undirected observation pairs removed, still connected
-    (removal uses a fixed internal stream so the scenario list is stable).
+    observing each other in eight mutual pairs, still connected.
     """
     side = 5.0
     h = side * math.sqrt(3.0) / 2.0
@@ -401,16 +400,15 @@ def builtin_scenarios(seed: int = 0) -> list:
                      (verts[2] + verts[0]) / 2.0])
     six = _poses_from_points(np.vstack([verts, mids]))
 
-    full6 = ObservationGraph.complete(6)
-    sparse_rng = np.random.default_rng(np.random.SeedSequence(2024,
-                                                              spawn_key=(9,)))
-    sparse6 = remove_random_edges_keep_connected(full6, 0.5, sparse_rng)
+    # The pairs a seeded removal of half of triangle6's 15 pairs once kept.
+    pairs = [(0, 1), (0, 3), (0, 5), (1, 2), (1, 5), (2, 4), (2, 5), (3, 4)]
+    sparse6 = ObservationGraph(6, pairs + [(j, i) for i, j in pairs])
     mk = lambda name, desired, graph: Scenario(
         desired=desired, graph=graph, seed=seed, name=name)
     return [
         mk("pair", pair, ObservationGraph.complete(2)),
         mk("triangle3", tri, ObservationGraph.complete(3)),
-        mk("triangle6", six, full6),
+        mk("triangle6", six, ObservationGraph.complete(6)),
         mk("triangle6_sparse", six, sparse6),
     ]
 

@@ -33,7 +33,7 @@ def count_passive_sinks(g):
 def laplacian(g):
     """Unit-weight Laplacian of the undirected graph, one edge at a time."""
     lap = np.zeros((g.n, g.n))
-    for i, j in g.undirected_edges():
+    for i, j in {(min(e), max(e)) for e in g.edges}:
         lap[i, i] += 1.0
         lap[j, j] += 1.0
         lap[i, j] -= 1.0

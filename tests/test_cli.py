@@ -258,6 +258,16 @@ def test_error_reporting_machine_readable(tmp_path, capsys):
     rc = main(["sim4d", "--scenario", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    capsys.readouterr()
+
+    # a path that cannot be opened: a directory as output or as scenario
+    for argv in (["sim4d", "--scenario", "builtin:pair", "--out",
+                  str(tmp_path)],
+                 ["audit", "--scenario", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(tmp_path) in json.loads(err)["message"]
 
 
 def test_csv_numbers_are_full_precision(tmp_path):

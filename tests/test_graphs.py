@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rigidflock.graphs import (ObservationGraph, count_passive_sinks,
-                               fiedler_value, is_connected, laplacian,
-                               remove_random_edges_keep_connected)
+                               fiedler_value, is_connected, laplacian)
 import graph_loops
 
 
@@ -69,56 +68,6 @@ def test_fiedler_positive_iff_connected():
             assert fied > 1e-9
         else:
             assert fied < 1e-9
-
-
-def test_remove_edges_fraction_zero_is_identity():
-    graph = ObservationGraph.complete(4)
-    out = remove_random_edges_keep_connected(graph, 0.0,
-                                             np.random.default_rng(0))
-    assert out.edges == graph.edges
-
-
-def test_remove_edges_half_of_k6():
-    graph = ObservationGraph.complete(6)
-    out = remove_random_edges_keep_connected(graph, 0.5,
-                                             np.random.default_rng(3))
-    assert is_connected(out)
-    assert len(out.undirected_edges()) == 15 - 7  # floor(0.5 * 15) removed
-    # removal is pairwise, so no new passive sinks
-    assert count_passive_sinks(out) == 0
-
-
-def test_remove_edges_tree_unchanged():
-    tree = g(5, (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4),
-             (4, 3))
-    out = remove_random_edges_keep_connected(tree, 0.5,
-                                             np.random.default_rng(1))
-    assert out.edges == tree.edges
-
-
-def test_remove_edges_never_disconnects():
-    rng = np.random.default_rng(11)
-    for seed in range(50):
-        graph = ObservationGraph.complete(int(rng.integers(3, 8)))
-        frac = float(rng.uniform(0, 1))
-        out = remove_random_edges_keep_connected(
-            graph, frac, np.random.default_rng(seed))
-        assert is_connected(out)
-
-
-def test_remove_edges_deterministic_per_seed():
-    graph = ObservationGraph.complete(6)
-    a = remove_random_edges_keep_connected(graph, 0.5,
-                                           np.random.default_rng(42))
-    b = remove_random_edges_keep_connected(graph, 0.5,
-                                           np.random.default_rng(42))
-    assert a.edges == b.edges
-
-
-def test_remove_edges_requires_connected_input():
-    with pytest.raises(ValueError):
-        remove_random_edges_keep_connected(
-            g(4, (0, 1), (2, 3)), 0.5, np.random.default_rng(0))
 
 
 @st.composite

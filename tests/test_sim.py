@@ -272,7 +272,9 @@ def test_builtin_scenarios():
     sparse = scens[3]
     assert is_connected(sparse.graph)
     assert fiedler_value(sparse.graph) > 0
-    assert len(sparse.graph.undirected_edges()) == 8
+    pairs = {(0, 1), (0, 3), (0, 5), (1, 2), (1, 5), (2, 4), (2, 5), (3, 4)}
+    assert sparse.graph.edges == pairs | {(j, i) for i, j in pairs}
+    assert len({(min(e), max(e)) for e in sparse.graph.edges}) == 8
     # stable across calls
     again = builtin_scenarios()
     assert again[3].graph.edges == sparse.graph.edges
