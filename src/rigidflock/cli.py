@@ -12,11 +12,13 @@ output so the run can be regenerated from the artifact alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -186,9 +188,6 @@ def _cmd_sim1d(args) -> int:
         raise ScenarioError(f"invalid field horizon: sim1d needs at least 10 "
                             f"steps, got {cfg.horizon}")
     trace = run_1d_ensemble(cfg)
-    _write_table(args.out, ["step", "mean_abs_dd", "sigma_a", "mean_abs_dv"],
-                 np.column_stack([np.arange(cfg.horizon), trace.mean_abs_dd,
-                                  trace.sigma_a, trace.mean_abs_dv]))
     metrics = convergence_metrics_1d(trace.mean_abs_dd, cfg.f)
     payload = {
         "t_c": metrics["t_c"],
@@ -202,6 +201,9 @@ def _cmd_sim1d(args) -> int:
         payload["sigma_ss_res_pred"] = sigma_ss_restrained(cfg)
     except ValueError:
         payload["sigma_ss_res_pred"] = None
+    _write_table(args.out, ["step", "mean_abs_dd", "sigma_a", "mean_abs_dv"],
+                 np.column_stack([np.arange(cfg.horizon), trace.mean_abs_dd,
+                                  trace.sigma_a, trace.mean_abs_dv]))
     outputs = [args.out]
     if args.metrics:
         with open(args.metrics, "w") as fh:
@@ -361,13 +363,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _outputs(args):
+    """Open every output of the command for appending before its work,
+    which writes and truncates nothing, so a path that cannot be written
+    fails at once. The files this creates go again if the command fails."""
+    given = vars(args)
+    paths = []
+    if "out" in given:  # sim1d, sim4d and sweep
+        paths = [given["out"], given["out"] + ".manifest.json",
+                 given.get("summary"), given.get("metrics")]
+    made = []
+    try:
+        for path in filter(None, paths):
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            if new:
+                made.append(path)
+        yield
+    except BaseException:
+        for path in made:
+            os.remove(path)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # Overflow is reported by the finiteness checks that name it, not
         # by numpy warnings ahead of the JSON error.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), _outputs(args):
             return args.func(args)
     # Numerical failures first: LinAlgError subclasses ValueError.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -28,11 +28,15 @@ BETA_NODES = ((0.1, 0.7251), (0.5, 0.8266), (1.0, 1.043),
               (1.5, 1.498), (1.9, 3.177))
 
 # 1D noise is drawn in blocks of at most _CHUNK_FLOATS floats. A trade-off
-# batch holds at most _BATCH_FLOATS history floats: two cells of 1001 steps
-# x 200 runs. Measured, a third cell raised the peak RSS of a trade-off job
-# above that of stepping cells alone, and so did 256 kB noise blocks.
+# batch holds at most _BATCH_FLOATS history floats, two cells of 1001 steps
+# x 200 runs (3.2 MB), and the metrics of one cell at a time, which work in
+# column blocks of at most _METRIC_FLOATS floats (under 1 MB). Measured on
+# the analysis_1d job, a third cell per batch raised its peak RSS from 42.6
+# to 44.1 MB and cut the trade-off's time by 17%, a fourth cell to 45.7 MB
+# and by 24%; 256 kB noise blocks were measured to raise the peak too.
 _CHUNK_FLOATS = 1 << 13
 _BATCH_FLOATS = 1 << 19
+_METRIC_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -393,6 +397,13 @@ def convergence_metrics_1d(history, f: float) -> dict:
     lone call on it bit for bit, its mean_dv does not: the column mean sums
     in another order. A history that never enters the band gets k_c equal
     to the last index and converged=False.
+
+    A (M, R) history of more than _METRIC_FLOATS floats is taken in blocks
+    of max(2, _METRIC_FLOATS // M) columns, so the work arrays stay near
+    three such blocks whatever R is; the blocks change no bits. Every block
+    holds two columns or more, and a trailing single column joins the block
+    before it: numpy sums the rows of a wider block in order, but a lone
+    column pairwise, which moves the last bits of its mean_dv.
     """
     x = np.asarray(history, dtype=float)
     if x.ndim != 2:
@@ -400,6 +411,27 @@ def convergence_metrics_1d(history, f: float) -> dict:
     size = x.shape[0]
     if size < 10:
         raise ValueError("need a history of at least 10 samples")
+    if x.ndim == 1:
+        parts = [_metric_block(x, f)]
+    else:
+        runs = x.shape[1]
+        width = max(2, _METRIC_FLOATS // size)
+        starts = list(range(0, runs - 1, width)) or [0]
+        parts = [_metric_block(x[:, lo:hi], f[lo:hi] if np.ndim(f) else f)
+                 for lo, hi in zip(starts, starts[1:] + [runs])]
+    k_c, sigma_t, mean_dv, converged, k_literal = map(np.hstack, zip(*parts))
+    metrics = {"t_c": k_c / f, "sigma_t": sigma_t, "mean_dv": mean_dv,
+               "k_c": k_c, "converged": converged, "k_c_literal": k_literal}
+    if x.ndim == 1:  # one run gives plain Python scalars
+        return {key: val.item() for key, val in metrics.items()}
+    return metrics
+
+
+def _metric_block(x, f):
+    """(k_c, sigma_t, mean_dv, converged, k_c_literal) of a (M,) history or
+    of the columns of a (M, R) one, as convergence_metrics_1d defines them.
+    """
+    size = x.shape[0]
     # Three suffix RMS about the target, in place; it bounds both readings.
     band = np.square(x)
     np.cumsum(band[::-1], axis=0, out=band[::-1])
@@ -424,15 +456,7 @@ def convergence_metrics_1d(history, f: float) -> dict:
     for t in set(tail_start.tolist()):
         same = np.flatnonzero(tail_start == t)
         sigma_t[same] = runs[same, t:].std(axis=1)
-    sigma_t = sigma_t.reshape(k_c.shape)
-    # One run gives plain Python scalars, R runs give arrays over the runs.
-    out = (lambda val: np.asarray(val).item()) if x.ndim == 1 else np.asarray
-    return {
-        "t_c": out(k_c / f), "sigma_t": out(sigma_t),
-        "mean_dv": out(mean_dv),
-        "k_c": out(k_c), "converged": out(converged),
-        "k_c_literal": out(k_literal),
-    }
+    return k_c, sigma_t.reshape(k_c.shape), mean_dv, converged, k_literal
 
 
 # --- trade-off sweep ----------------------------------------------------------

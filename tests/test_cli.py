@@ -270,6 +270,60 @@ def test_error_reporting_machine_readable(tmp_path, capsys):
         assert str(tmp_path) in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["sim1d", "--config", "{config}", "--out", "{dir}"], "{dir}"),
+    (["sim1d", "--config", "{config}", "--out", "{dir}/o.csv",
+      "--metrics", "{dir}"], "{dir}"),
+    (["sim4d", "--scenario", "builtin:triangle6", "--out", "{dir}"],
+     "{dir}"),
+    (["sim4d", "--scenario", "builtin:triangle6", "--out", "{dir}/o.csv",
+      "--summary", "{dir}/none/s.json"], "{dir}/none/s.json"),
+    (["sweep", "--scenario", "builtin:triangle6", "--rates", "10,100",
+      "--ells", "0.05,0.5", "--seeds", "2", "--out", "{dir}"], "{dir}"),
+    (["sweep", "--scenario", "builtin:pair", "--out", "{dir}/none/o.csv"],
+     "{dir}/none/o.csv"),
+])
+def test_bad_output_path_exits_2_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, argv, bad):
+    def no_work(*args, **kwargs):
+        pytest.fail("stepped before its outputs were checked")
+
+    for name in ("sweep", "run", "run_1d_ensemble"):
+        monkeypatch.setattr(cli, name, no_work)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k_ef": 0.5, "horizon": 20}))
+    fill = dict(config=config, dir=tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main([arg.format(**fill) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert repr(bad.format(**fill)) in json.loads(err)["message"]
+    assert sorted(tmp_path.iterdir()) == before  # no file left behind
+
+
+@pytest.mark.parametrize("command", [
+    ["sim4d", "--summary", "{dir}/summary.json"],
+    ["sweep", "--rates", "10,20", "--ells", "0.2,0.5"],
+])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_run_leaves_outputs_as_they_were(tmp_path, capsys, command,
+                                                existing):
+    # a start that overflows: exit 1 after the outputs were checked
+    scen_file = tmp_path / "scen.json"
+    scen_file.write_text(json.dumps(dict(MINIMAL, horizon_steps=20,
+                                         init_radius=1e308)))
+    out = tmp_path / "run.csv"
+    if existing:
+        out.write_text("kept\r\n")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [command[0], "--scenario", str(scen_file), "--out", str(out),
+            *(arg.format(dir=tmp_path) for arg in command[1:])]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "FloatingPointError"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_csv_numbers_are_full_precision(tmp_path):
     scen_file = tmp_path / "scen.json"
     scen_file.write_text(json.dumps(dict(MINIMAL, horizon_steps=5, seed=3)))

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oned_loops
@@ -547,19 +548,61 @@ def test_normal_block_equals_successive_draws(seed, steps, n, width):
 @settings(max_examples=12)
 @given(st.integers(0, 1000), st.integers(5, 30), st.integers(9, 40),
        st.sampled_from([(0.5, 0.1), (0.3, 0.5, 0.05), (0.5,), (0.2,)]),
-       st.sampled_from([1, 7, 1 << 13]))
+       st.sampled_from([1, 7, 1 << 13]), st.sampled_from([0, 64]))
 def test_tradeoff_rows_do_not_depend_on_batch_or_chunk(seed, n_runs, horizon,
-                                                       ells, chunk):
+                                                       ells, chunk, block):
     k_grid = (0.05, 0.3, 0.97)
     args = (k_grid, ells)
     kw = dict(n_runs=n_runs, horizon=horizon, seed=seed)
     rows = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oned, "_CHUNK_FLOATS", chunk)
-        for bound in (1, (horizon + 1) * n_runs * 2, 1 << 30):
+        for bound, metric in itertools.product(
+                (1, (horizon + 1) * n_runs * 2, 1 << 30), (1 << 15, block)):
             mp.setattr(oned, "_BATCH_FLOATS", bound)
+            mp.setattr(oned, "_METRIC_FLOATS", metric)
             rows.append(tradeoff_sweep(*args, **kw))
     assert list(rows[0]) == [(k, e) for e in ells for k in k_grid]
     for other in rows[1:]:
         assert list(other) == list(rows[0])
         assert all(same_bits(other[key], rows[0][key]) for key in other)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(10, 150), st.integers(2, 5),
+       st.integers(1, 3), st.integers(0, 4), st.booleans())
+@example(seed=2, size=120, cols=3, blocks=1, extra=1, per_run=False)
+def test_metric_blocks_change_no_bits(seed, size, cols, blocks, extra,
+                                      per_run):
+    # blocks of cols columns against one block: every key keeps its bits,
+    # mean_dv too, as long as no block is a lone column (numpy sums that
+    # one pairwise, not row by row); the example's R = cols + 1 runs would
+    # end in one
+    runs = blocks * cols + extra % cols
+    rng = np.random.default_rng(seed)
+    decay = rng.uniform(0.8, 1.0, runs) ** np.arange(size)[:, None]
+    history = 10.0 ** rng.uniform(-3.0, 3.0, runs) * np.abs(
+        50.0 * decay + rng.standard_normal((size, runs)))
+    f = rng.uniform(1.0, 200.0, runs) if per_run else 10.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oned, "_METRIC_FLOATS", 1 << 30)
+        want = convergence_metrics_1d(history, f)
+        mp.setattr(oned, "_METRIC_FLOATS", cols * size)
+        got = convergence_metrics_1d(history, f)
+    assert list(got) == list(want)
+    for key in got:
+        assert got[key].dtype == want[key].dtype, key
+        assert same_bits(got[key], want[key]), key
+
+
+def test_metric_work_arrays_stay_bounded():
+    # a (1001, 200) trade-off cell: its 1.6 MB history in blocks of 32
+    # columns, where full-width work arrays peaked at 3.8 MB
+    history = np.abs(np.random.default_rng(3).standard_normal((1001, 200)))
+    tracemalloc.start()
+    try:
+        convergence_metrics_1d(history, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
